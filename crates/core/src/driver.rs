@@ -2,12 +2,18 @@
 //!
 //! Reproduces the evaluation vehicle of §V-A: Qsim (the event-driven
 //! simulator shipped with Cobalt) "extended … to support multi-domain
-//! coscheduling simulation". Both machines' resource managers run inside
-//! one deterministic event loop; coordination between them goes through the
-//! protocol vocabulary of `cosched-proto`, so the simulator exercises the
-//! same `Run_Job` code path a live deployment uses.
+//! coscheduling simulation". Both machines run inside one deterministic
+//! event loop as two `Domain`s — the same domain core the live daemon
+//! ([`crate::live`]) wraps — so the simulator exercises the deployment's
+//! protocol handler, decision commit, and release policy, not copies of
+//! them. Coordination between the domains goes through the protocol
+//! vocabulary of `cosched-proto` over an in-process "wire".
 //!
-//! Events are job arrivals, job completions, and hold-release timers (the
+//! What lives here is what only a simulation has: the event queue,
+//! transport-level fault injection (a down peer, status timeouts, unknown
+//! statuses), causal spans (pair roots cross machines), and the report.
+//!
+//! Events are job arrivals, job completions, and release sweeps (the
 //! deadlock breaker). Every event triggers a scheduling iteration on its
 //! machine; each ready candidate passes through Algorithm 1, which may make
 //! protocol calls that start jobs on the *other* machine (the simultaneous
@@ -19,21 +25,22 @@
 //! enhancement ("the job queues on both machines keep growing, but no job
 //! can start").
 
-use crate::algorithm::{run_job_traced, Decision, LocalContext};
+use crate::algorithm::Decision;
 use crate::config::CoupledConfig;
+use crate::domain::{Domain, Sweep};
 use crate::registry::MateRegistry;
 use cosched_metrics::{JobRecord, MachineSummary};
 use cosched_obs::metrics::HistogramSnapshot;
-use cosched_obs::trace::RpcKind;
 use cosched_obs::{
     Histogram, MetricsRegistry, MetricsSnapshot, NoopObserver, Observer, Phase, PhaseProfiler,
     PhaseSnapshot, SpanKind, TraceEvent, GLOBAL, NO_JOB, NO_SPAN,
 };
 use cosched_proto::{MateStatus, ProtoError, Request, Response};
-use cosched_sched::{JobStatus, Machine, SchedStats};
+use cosched_sched::{Machine, SchedStats};
 use cosched_sim::{EventQueue, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, Trace};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Events driving the coupled simulation.
@@ -43,11 +50,8 @@ enum Event {
     Arrival { m: usize, idx: usize },
     /// A running job completes.
     JobEnd { m: usize, job: JobId },
-    /// Deadlock-breaker sweep (§IV-E1): periodically force the holding jobs
-    /// on machine `m` to release their resources. Releasing *all* holds at
-    /// once is what lets freed capacity accumulate so that larger waiting
-    /// mates can use it — a per-job timer would free and instantly re-grab
-    /// the same nodes, and the circular wait would persist.
+    /// Machine `m`'s armed release sweep falls due (§IV-E1; the policy is
+    /// `Domain::sweep`).
     ReleaseSweep { m: usize },
 }
 
@@ -168,24 +172,143 @@ impl SimulationReport {
 struct SpanBook {
     /// Last span id handed out (ids start at 1; 0 is [`NO_SPAN`]).
     next: u64,
-    /// Pair root spans keyed by (machine-0 member id, machine-1 member id).
-    pair_root: HashMap<(u64, u64), u64>,
-    /// Which members of each open pair span have started.
-    pair_started: HashMap<(u64, u64), [bool; 2]>,
+    /// Open pair root spans and which members have started, keyed by
+    /// (machine-0 member id, machine-1 member id).
+    pairs: HashMap<(u64, u64), (u64, [bool; 2])>,
     /// Open hold spans keyed by (machine, job).
     hold: HashMap<(usize, u64), u64>,
     /// Open yield-episode spans keyed by (machine, job).
     yielding: HashMap<(usize, u64), u64>,
 }
 
+/// The (job, mate) a span concerns when it concerns none.
+const NO_SUBJECT: (u64, u64) = (NO_JOB, NO_JOB);
+
+/// Canonical pair key for a paired job on machine `m`:
+/// (machine-0 member id, machine-1 member id).
+fn pair_key(m: usize, job: &Job) -> Option<(u64, u64)> {
+    let mate = job.mate.as_ref()?;
+    Some(if m == 0 {
+        (job.id.0, mate.job.0)
+    } else {
+        (mate.job.0, job.id.0)
+    })
+}
+
 impl SpanBook {
-    fn alloc(&mut self) -> u64 {
+    /// Open a span about `(job, mate)` on `machine` and return its id —
+    /// [`NO_SPAN`], with nothing recorded, when the observer is inactive.
+    fn open<O: Observer>(
+        &mut self,
+        obs: &mut O,
+        now: u64,
+        machine: usize,
+        parent: u64,
+        kind: SpanKind,
+        (job, mate): (u64, u64),
+    ) -> u64 {
+        if !obs.active() {
+            return NO_SPAN;
+        }
         self.next += 1;
-        self.next
+        let span = self.next;
+        let event = TraceEvent::SpanOpen {
+            span,
+            parent,
+            kind,
+            job,
+            mate,
+        };
+        obs.record(now, machine, event);
+        span
+    }
+
+    /// Close `span` (no-op for [`NO_SPAN`]).
+    fn close<O: Observer>(obs: &mut O, now: u64, machine: usize, span: u64) {
+        if span != NO_SPAN {
+            obs.record(now, machine, TraceEvent::SpanClose { span });
+        }
+    }
+
+    /// Open the pair's root span at the first submit of either member. The
+    /// span belongs to no single machine ([`GLOBAL`]): the rendezvous is a
+    /// cross-machine lifetime, closed only when both members have started.
+    fn open_pair<O: Observer>(&mut self, obs: &mut O, now: u64, m: usize, job: &Job) {
+        let Some(key) = pair_key(m, job).filter(|_| obs.active()) else {
+            return;
+        };
+        if !self.pairs.contains_key(&key) {
+            let id = self.open(obs, now, GLOBAL, NO_SPAN, SpanKind::PairRendezvous, key);
+            self.pairs.insert(key, (id, [false, false]));
+        }
+    }
+
+    /// The open pair-root span id for a job on machine `m` ([`NO_SPAN`]
+    /// when untraced, unpaired, or already closed).
+    fn pair_of(&self, m: usize, job: &Job) -> u64 {
+        pair_key(m, job)
+            .and_then(|key| self.pairs.get(&key))
+            .map_or(NO_SPAN, |&(root, _)| root)
+    }
+
+    /// A hold or yield decision opens the job's wait span under its pair
+    /// root. A yield episode spans from the first yield to the job's
+    /// eventual start; repeated yields stay inside it.
+    fn open_wait<O: Observer>(
+        &mut self,
+        obs: &mut O,
+        now: u64,
+        m: usize,
+        job: &Job,
+        decision: Decision,
+    ) {
+        let key = (m, job.id.0);
+        let kind = match decision {
+            Decision::Hold => SpanKind::Hold,
+            Decision::Yield if !self.yielding.contains_key(&key) => SpanKind::YieldWait,
+            _ => return,
+        };
+        let parent = self.pair_of(m, job);
+        let mate = job.mate.as_ref().map_or(NO_JOB, |r| r.job.0);
+        let id = self.open(obs, now, m, parent, kind, (job.id.0, mate));
+        if id != NO_SPAN {
+            let book = match kind {
+                SpanKind::Hold => &mut self.hold,
+                _ => &mut self.yielding,
+            };
+            book.insert(key, id);
+        }
+    }
+
+    /// The release sweep demoted `job`: its hold interval ends.
+    fn close_hold<O: Observer>(&mut self, obs: &mut O, now: u64, m: usize, job: JobId) {
+        if let Some(id) = self.hold.remove(&(m, job.0)) {
+            Self::close(obs, now, m, id);
+        }
+    }
+
+    /// `job` started on machine `m`: close its open yield/hold spans, mark
+    /// its pair member as started, and close the pair root span once both
+    /// members run.
+    fn started<O: Observer>(&mut self, obs: &mut O, now: u64, m: usize, job: &Job) {
+        if let Some(id) = self.yielding.remove(&(m, job.id.0)) {
+            Self::close(obs, now, m, id);
+        }
+        self.close_hold(obs, now, m, job.id);
+        let Some(key) = pair_key(m, job) else {
+            return;
+        };
+        if let Some((root, started)) = self.pairs.get_mut(&key) {
+            started[m] = true;
+            if *started == [true, true] {
+                Self::close(obs, now, GLOBAL, *root);
+                self.pairs.remove(&key);
+            }
+        }
     }
 }
 
-/// The coupled simulator: two machines, one event loop, protocol-mediated
+/// The coupled simulator: two domains, one event loop, protocol-mediated
 /// coordination.
 ///
 /// Generic over an [`Observer`] receiving the structured trace-event stream;
@@ -194,9 +317,8 @@ impl SpanBook {
 /// simulation outcome.
 pub struct CoupledSimulation<O: Observer = NoopObserver> {
     config: CoupledConfig,
-    machines: [Machine; 2],
+    domains: [Domain; 2],
     jobs: [Vec<Job>; 2],
-    registry: MateRegistry,
     queue: EventQueue<Event>,
     now: SimTime,
     events: u64,
@@ -207,14 +329,10 @@ pub struct CoupledSimulation<O: Observer = NoopObserver> {
     /// Fault injection: jobs whose status reads back as `Unknown`
     /// ("the mate job fails alone").
     unknown_status: HashSet<(usize, JobId)>,
-    /// Whether a release sweep is currently scheduled per machine. Sweeps
-    /// self-re-arm only while holds exist, so the event loop terminates.
-    sweep_armed: [bool; 2],
-    /// Rendezvous audit: pairs committed via a hold anchor (`StartJob` on a
-    /// held mate), keyed by the started job's `(machine, id)`.
-    anchored_pairs: HashSet<(usize, JobId)>,
-    /// Rendezvous audit: pairs committed via `TryStartMate`.
-    direct_pairs: HashSet<(usize, JobId)>,
+    /// Rendezvous audit: jobs the peer started, keyed by `(machine, id)`;
+    /// `true` for a hold anchor (`StartJob` on a held mate), `false` for
+    /// `TryStartMate`.
+    peer_started: HashMap<(usize, JobId), bool>,
     /// Fault injection: `GetMateStatus` calls to machine `m` time out, so
     /// the caller sees `MateStatus::Unknown` and starts normally.
     status_timeout: [bool; 2],
@@ -256,31 +374,29 @@ impl<O: Observer> CoupledSimulation<O> {
                 config.machines[i].machine
             );
         }
-        let registry = MateRegistry::from_traces(&traces[0], &traces[1]);
-        let mut machines = [
-            Machine::new(config.machines[0].clone()),
-            Machine::new(config.machines[1].clone()),
-        ];
-        if observer.active() {
-            for m in &mut machines {
-                m.set_tracing(true);
-            }
-        }
-        let [ta, tb] = traces;
+        let registry = Arc::new(MateRegistry::from_traces(&traces[0], &traces[1]));
+        let domains = [0, 1].map(|m| {
+            let mut machine = Machine::new(config.machines[m].clone());
+            machine.set_tracing(observer.active());
+            Domain::new(
+                machine,
+                config.cosched[m].clone(),
+                Arc::clone(&registry),
+                config.machines[1 - m].machine,
+                m,
+            )
+        });
         CoupledSimulation {
             config,
-            machines,
-            jobs: [ta.into_jobs(), tb.into_jobs()],
-            registry,
+            domains,
+            jobs: traces.map(Trace::into_jobs),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             events: 0,
             forced_releases: 0,
             reachable: [true, true],
             unknown_status: HashSet::new(),
-            sweep_armed: [false, false],
-            anchored_pairs: HashSet::new(),
-            direct_pairs: HashSet::new(),
+            peer_started: HashMap::new(),
             status_timeout: [false, false],
             stats: RunStats::default(),
             profiler: PhaseProfiler::new(),
@@ -303,108 +419,6 @@ impl<O: Observer> CoupledSimulation<O> {
         self.status_timeout[m] = on;
     }
 
-    /// Construct-then-record helper: skips event construction entirely when
-    /// the observer is inactive (the no-op default).
-    #[inline]
-    fn emit(&mut self, machine: usize, make: impl FnOnce() -> TraceEvent) {
-        if self.observer.active() {
-            self.observer.record(self.now.as_secs(), machine, make());
-        }
-    }
-
-    /// Forward trace events the scheduler logged during its last calls,
-    /// stamped with the current instant.
-    fn drain_machine_trace(&mut self, m: usize) {
-        if !self.observer.active() {
-            return;
-        }
-        for ev in self.machines[m].take_trace() {
-            self.observer.record(self.now.as_secs(), m, ev);
-        }
-    }
-
-    /// Canonical pair key for a paired job on machine `m`:
-    /// (machine-0 member id, machine-1 member id).
-    fn pair_key(&self, m: usize, job: &Job) -> Option<(u64, u64)> {
-        let mate = job.mate.as_ref()?;
-        Some(if m == 0 {
-            (job.id.0, mate.job.0)
-        } else {
-            (mate.job.0, job.id.0)
-        })
-    }
-
-    /// Open the pair's root span at the first submit of either member. The
-    /// span belongs to no single machine ([`GLOBAL`]): the rendezvous is a
-    /// cross-machine lifetime, closed only when both members have started.
-    fn span_open_pair(&mut self, m: usize, job: &Job) {
-        if !self.observer.active() {
-            return;
-        }
-        let Some(key) = self.pair_key(m, job) else {
-            return;
-        };
-        if self.spans.pair_root.contains_key(&key) {
-            return;
-        }
-        let id = self.spans.alloc();
-        self.spans.pair_root.insert(key, id);
-        self.spans.pair_started.insert(key, [false, false]);
-        self.observer.record(
-            self.now.as_secs(),
-            GLOBAL,
-            TraceEvent::SpanOpen {
-                span: id,
-                parent: NO_SPAN,
-                kind: SpanKind::PairRendezvous,
-                job: key.0,
-                mate: key.1,
-            },
-        );
-    }
-
-    /// The open pair-root span id for a job on machine `m` ([`NO_SPAN`]
-    /// when untraced, unpaired, or already closed).
-    fn pair_span_of(&self, m: usize, job: &Job) -> u64 {
-        self.pair_key(m, job)
-            .and_then(|key| self.spans.pair_root.get(&key).copied())
-            .unwrap_or(NO_SPAN)
-    }
-
-    /// A job started on machine `m`: close its open yield/hold spans, mark
-    /// its pair member as started, and close the pair root span once both
-    /// members run.
-    fn span_mark_started(&mut self, m: usize, job_id: JobId) {
-        if !self.observer.active() {
-            return;
-        }
-        let now = self.now.as_secs();
-        if let Some(id) = self.spans.yielding.remove(&(m, job_id.0)) {
-            self.observer
-                .record(now, m, TraceEvent::SpanClose { span: id });
-        }
-        if let Some(id) = self.spans.hold.remove(&(m, job_id.0)) {
-            self.observer
-                .record(now, m, TraceEvent::SpanClose { span: id });
-        }
-        let Some(key) = self.machines[m]
-            .job(job_id)
-            .and_then(|job| self.pair_key(m, job))
-        else {
-            return;
-        };
-        if let Some(started) = self.spans.pair_started.get_mut(&key) {
-            started[m] = true;
-            if started[0] && started[1] {
-                self.spans.pair_started.remove(&key);
-                if let Some(root) = self.spans.pair_root.remove(&key) {
-                    self.observer
-                        .record(now, GLOBAL, TraceEvent::SpanClose { span: root });
-                }
-            }
-        }
-    }
-
     /// Fault injection: make machine `m` report `Unknown` for `job`'s
     /// status (simulates the mate job failing alone).
     pub fn mark_status_unknown(&mut self, m: usize, job: JobId) {
@@ -413,7 +427,7 @@ impl<O: Observer> CoupledSimulation<O> {
 
     /// Direct access to a machine (tests and examples).
     pub fn machine(&self, m: usize) -> &Machine {
-        &self.machines[m]
+        self.domains[m].machine()
     }
 
     /// Current simulation time.
@@ -421,34 +435,24 @@ impl<O: Observer> CoupledSimulation<O> {
         self.now
     }
 
-    /// Run to completion and build the report, invoking `observer` every
-    /// `every` events — for long-run monitoring and diagnosis (the observer
-    /// sees the live simulation state through the public accessors).
-    pub fn run_observed(
-        mut self,
-        every: u64,
-        mut observer: impl FnMut(&CoupledSimulation<O>),
-    ) -> SimulationReport {
-        for m in 0..2 {
-            for idx in 0..self.jobs[m].len() {
-                let t = self.jobs[m][idx].submit;
-                self.queue.push(t, Event::Arrival { m, idx });
-            }
+    /// Forward trace events the scheduler logged during its last calls,
+    /// stamped with the current instant.
+    fn drain_machine_trace(&mut self, m: usize) {
+        if !self.observer.active() {
+            return;
         }
-        let mut aborted = false;
-        while let Some(ev) = self.queue.pop() {
-            if self.events >= self.config.max_events {
-                aborted = true;
-                break;
-            }
-            self.now = ev.time;
-            self.events += 1;
-            if every > 0 && self.events.is_multiple_of(every) {
-                observer(&self);
-            }
-            self.dispatch(ev.event);
+        for ev in self.domains[m].machine_mut().take_trace() {
+            self.observer.record(self.now.as_secs(), m, ev);
         }
-        self.report(aborted).report
+    }
+
+    /// Job `id` started on machine `m`: settle its spans.
+    fn span_started(&mut self, m: usize, id: JobId) {
+        if self.observer.active() {
+            let job = self.domains[m].machine().job(id).expect("started job");
+            self.spans
+                .started(&mut self.observer, self.now.as_secs(), m, job);
+        }
     }
 
     /// Run to completion and build the report.
@@ -481,102 +485,51 @@ impl<O: Observer> CoupledSimulation<O> {
     }
 
     fn dispatch(&mut self, event: Event) {
+        let now = self.now;
         match event {
             Event::Arrival { m, idx } => {
                 let job = self.jobs[m][idx].clone();
-                self.span_open_pair(m, &job);
-                self.emit(m, || TraceEvent::JobSubmitted {
-                    job: job.id.0,
-                    size: job.size,
-                    paired: job.mate.is_some(),
-                });
-                self.machines[m].submit(job, self.now);
+                self.spans
+                    .open_pair(&mut self.observer, now.as_secs(), m, &job);
+                self.domains[m]
+                    .submit(job, now, &mut self.observer)
+                    .expect("traces are validated at construction");
                 self.iterate(m);
             }
             Event::JobEnd { m, job } => {
-                self.emit(m, || TraceEvent::JobEnded { job: job.0 });
-                self.machines[m].finish(job, self.now);
+                self.domains[m].finish(job, now, &mut self.observer);
                 self.iterate(m);
             }
             Event::ReleaseSweep { m } => {
                 let sweep_t0 = Instant::now();
-                self.sweep_armed[m] = false;
-                let Some(period) = self.config.cosched[m].release_period else {
-                    return;
-                };
-                // The release exists to let "other waiting jobs … use the
-                // previously held resources" (§IV-E1). If no queued job is
-                // blocked by the held nodes, the holds are harmless — keep
-                // them (a held job starts the instant its mate is ready,
-                // which is the whole point of the hold scheme).
-                if !self.holds_block_someone(m) {
-                    // Re-check one period from now (not from the oldest
-                    // hold, which is already mature — that would spin).
-                    if !self.machines[m].held_jobs().is_empty() {
-                        self.queue
-                            .push(self.now + period, Event::ReleaseSweep { m });
-                        self.sweep_armed[m] = true;
+                match self.domains[m].sweep(now) {
+                    Sweep::Idle => {}
+                    Sweep::Rearmed(at) => {
+                        self.queue.push(at, Event::ReleaseSweep { m });
                     }
-                    return;
-                }
-                // Release EVERY hold, as one batch ("force the holding jobs
-                // to release their resources", §IV-E1). A partial (e.g.
-                // age-filtered) release livelocks: hold timestamps stagger
-                // across events, each sweep frees only a subset, a large
-                // blocked job never sees the full coalesced capacity, and
-                // the released jobs instantly re-hold with fresh staggered
-                // ages. Only the full batch lets the demoted-last iteration
-                // hand the entire held capacity to the waiting jobs first.
-                let sweep_span = if self.observer.active() {
-                    let id = self.spans.alloc();
-                    self.observer.record(
-                        self.now.as_secs(),
-                        m,
-                        TraceEvent::SpanOpen {
-                            span: id,
-                            parent: NO_SPAN,
-                            kind: SpanKind::ReleaseSweep,
-                            job: NO_JOB,
-                            mate: NO_JOB,
-                        },
-                    );
-                    id
-                } else {
-                    NO_SPAN
-                };
-                let held: Vec<JobId> = self.machines[m].held_jobs().to_vec();
-                let held_before = held.len();
-                for job in held {
-                    self.machines[m].release_held(job, self.now);
-                    self.forced_releases += 1;
-                    self.emit(m, || TraceEvent::CoschedDeadlockDemotion { job: job.0 });
-                    // The demotion ends the job's hold interval.
-                    if let Some(id) = self.spans.hold.remove(&(m, job.0)) {
-                        self.observer.record(
-                            self.now.as_secs(),
+                    Sweep::Release => {
+                        let t = now.as_secs();
+                        let sweep_span = self.spans.open(
+                            &mut self.observer,
+                            t,
                             m,
-                            TraceEvent::SpanClose { span: id },
+                            NO_SPAN,
+                            SpanKind::ReleaseSweep,
+                            NO_SUBJECT,
                         );
+                        let spans = &mut self.spans;
+                        let released =
+                            self.domains[m].release_holds(now, &mut self.observer, |obs, job| {
+                                spans.close_hold(obs, t, m, job)
+                            });
+                        self.forced_releases += released as u64;
+                        self.stats.release_sweeps += 1;
+                        SpanBook::close(&mut self.observer, t, m, sweep_span);
+                        self.profiler
+                            .record(Phase::ReleaseSweep, elapsed_ns(sweep_t0));
+                        self.iterate(m);
                     }
                 }
-                self.stats.release_sweeps += 1;
-                self.emit(m, || TraceEvent::CoschedReleaseSweep {
-                    released: held_before,
-                    held_before,
-                });
-                if sweep_span != NO_SPAN {
-                    self.observer.record(
-                        self.now.as_secs(),
-                        m,
-                        TraceEvent::SpanClose { span: sweep_span },
-                    );
-                }
-                self.profiler
-                    .record(Phase::ReleaseSweep, elapsed_ns(sweep_t0));
-                self.iterate(m);
-                // Re-arm for the re-created holds (they all begin at this
-                // instant, so the next sweep is one full `period` away).
-                self.arm_sweep_if_needed(m);
             }
         }
     }
@@ -585,215 +538,80 @@ impl<O: Observer> CoupledSimulation<O> {
     /// through Algorithm 1.
     fn iterate(&mut self, m: usize) {
         let iter_t0 = Instant::now();
-        let (queued, running, free_nodes) = (
-            self.machines[m].queued_jobs().len(),
-            self.machines[m].running_jobs().len(),
-            self.machines[m].free_nodes(),
-        );
-        self.emit(m, || TraceEvent::SchedIterationStart {
-            queued,
-            running,
-            free_nodes,
-        });
-        self.machines[m].begin_iteration();
+        let (now, t) = (self.now, self.now.as_secs());
+        let machine = self.domains[m].machine();
+        self.observer
+            .emit_with(t, m, || TraceEvent::SchedIterationStart {
+                queued: machine.queued_jobs().len(),
+                running: machine.running_jobs().len(),
+                free_nodes: machine.free_nodes(),
+            });
+        self.domains[m].machine_mut().begin_iteration();
         let mut started = 0usize;
         // Lazily opened at the first mated pick: "a scheduler iteration
         // that touches a mated job" gets its own span.
         let mut iter_span = NO_SPAN;
-        while let Some(cand) = self.machines[m].pick_next(self.now) {
+        while let Some(ready) = self.domains[m].pick(now) {
             self.drain_machine_trace(m);
-            if cand.paired && iter_span == NO_SPAN && self.observer.active() {
-                iter_span = self.spans.alloc();
-                self.observer.record(
-                    self.now.as_secs(),
-                    m,
-                    TraceEvent::SpanOpen {
-                        span: iter_span,
-                        parent: NO_SPAN,
-                        kind: SpanKind::SchedIteration,
-                        job: NO_JOB,
-                        mate: NO_JOB,
-                    },
-                );
+            let cand = &ready.cand;
+            if cand.paired && iter_span == NO_SPAN {
+                let kind = SpanKind::SchedIteration;
+                iter_span = self
+                    .spans
+                    .open(&mut self.observer, t, m, NO_SPAN, kind, NO_SUBJECT);
             }
-            self.emit(m, || TraceEvent::SchedPick {
+            self.observer.emit_with(t, m, || TraceEvent::SchedPick {
                 job: cand.job_id.0,
                 size: cand.size,
                 via_backfill: cand.via_backfill,
             });
-            let cfg = self.config.cosched[m].clone();
-            let job = self.machines[m]
-                .job(cand.job_id)
-                .expect("candidate exists")
-                .clone();
-            let ctx = LocalContext {
-                job: &job,
-                candidate_charged: cand.charged,
-                capacity: self.machines[m].config().capacity,
-                held_nodes: self.machines[m].held_nodes(),
-                yields_so_far: self.machines[m].yields_of(cand.job_id),
-            };
-            let remote = 1 - m;
             // RPC spans for this decision parent under the pair root (the
             // span context a live transport would carry in its frames).
             let rpc_parent = if self.observer.active() {
-                self.pair_span_of(m, &job)
+                self.spans.pair_of(m, &ready.job)
             } else {
                 NO_SPAN
             };
-            // Algorithm-internal events (§IV-E2 scheme shifts) are staged in
-            // a local buffer: the remote-call closure already borrows `self`.
-            let mut shifts: Vec<TraceEvent> = Vec::new();
-            let decision = {
-                let this = &mut *self;
-                run_job_traced(
-                    &cfg,
-                    &ctx,
-                    |req| this.remote_call(remote, req, rpc_parent),
-                    |ev| shifts.push(ev),
-                )
-            };
-            for ev in shifts {
-                match ev {
-                    TraceEvent::CoschedHeldCapDegradation { .. } => self.stats.degradations += 1,
-                    TraceEvent::CoschedYieldCapEscalation { .. } => self.stats.escalations += 1,
-                    _ => {}
-                }
-                self.emit(m, || ev);
+            let outcome = ready.decide(|req| self.remote_call(1 - m, req, rpc_parent));
+            match outcome.shift {
+                Some(TraceEvent::CoschedHeldCapDegradation { .. }) => self.stats.degradations += 1,
+                Some(TraceEvent::CoschedYieldCapEscalation { .. }) => self.stats.escalations += 1,
+                _ => {}
             }
-            match decision {
-                Decision::Start { mate_started } => {
-                    started += 1;
-                    if let Some(mate) = mate_started {
-                        let anchored = self.anchored_pairs.contains(&(remote, mate));
-                        self.emit(m, || TraceEvent::CoschedRendezvousCommit {
-                            job: job.id.0,
-                            mate: mate.0,
-                            anchored,
-                        });
-                    }
-                    self.emit(m, || TraceEvent::CoschedStart {
-                        job: job.id.0,
-                        with_mate: mate_started.is_some(),
-                    });
-                    let end = self.machines[m].start(cand, self.now);
-                    let id = job.id;
-                    self.queue.push(end, Event::JobEnd { m, job: id });
-                    self.span_mark_started(m, id);
-                }
-                Decision::Hold => {
-                    self.stats.holds += 1;
-                    if self.observer.active() {
-                        let parent = self.pair_span_of(m, &job);
-                        let id = self.spans.alloc();
-                        self.spans.hold.insert((m, job.id.0), id);
-                        let mate = job.mate.as_ref().map_or(NO_JOB, |r| r.job.0);
-                        self.observer.record(
-                            self.now.as_secs(),
-                            m,
-                            TraceEvent::SpanOpen {
-                                span: id,
-                                parent,
-                                kind: SpanKind::Hold,
-                                job: job.id.0,
-                                mate,
-                            },
-                        );
-                    }
-                    self.emit(m, || TraceEvent::CoschedHoldPlaced {
-                        job: job.id.0,
-                        nodes: cand.charged,
-                    });
-                    self.machines[m].hold(cand, self.now);
-                }
-                Decision::Yield => {
-                    self.stats.yields += 1;
-                    // A yield episode spans from the first yield to the
-                    // job's eventual start; repeated yields stay inside it.
-                    if self.observer.active() && !self.spans.yielding.contains_key(&(m, job.id.0)) {
-                        let parent = self.pair_span_of(m, &job);
-                        let id = self.spans.alloc();
-                        self.spans.yielding.insert((m, job.id.0), id);
-                        let mate = job.mate.as_ref().map_or(NO_JOB, |r| r.job.0);
-                        self.observer.record(
-                            self.now.as_secs(),
-                            m,
-                            TraceEvent::SpanOpen {
-                                span: id,
-                                parent,
-                                kind: SpanKind::YieldWait,
-                                job: job.id.0,
-                                mate,
-                            },
-                        );
-                    }
-                    let yields_so_far = ctx.yields_so_far + 1;
-                    self.emit(m, || TraceEvent::CoschedYield {
-                        job: job.id.0,
-                        yields_so_far,
-                    });
-                    self.machines[m].yield_job(cand, self.now);
-                }
+            match outcome.decision {
+                Decision::Start { .. } => started += 1,
+                Decision::Hold => self.stats.holds += 1,
+                Decision::Yield => self.stats.yields += 1,
+            }
+            let id = ready.job.id;
+            let spans = &mut self.spans;
+            let end = self.domains[m].commit(
+                ready,
+                outcome,
+                now,
+                &mut self.observer,
+                |obs, job, decision| spans.open_wait(obs, t, m, job, decision),
+            );
+            if let Some(end) = end {
+                self.queue.push(end, Event::JobEnd { m, job: id });
+                self.span_started(m, id);
             }
         }
         self.drain_machine_trace(m);
-        if iter_span != NO_SPAN {
-            self.observer.record(
-                self.now.as_secs(),
-                m,
-                TraceEvent::SpanClose { span: iter_span },
-            );
+        SpanBook::close(&mut self.observer, t, m, iter_span);
+        self.observer
+            .emit_with(t, m, || TraceEvent::SchedIterationEnd { started });
+        if let Some(at) = self.domains[m].arm_sweep(now) {
+            self.queue.push(at, Event::ReleaseSweep { m });
         }
-        self.emit(m, || TraceEvent::SchedIterationEnd { started });
-        self.arm_sweep_if_needed(m);
         self.profiler
             .record(Phase::SchedulerIteration, elapsed_ns(iter_t0));
     }
 
-    /// Is any queued job on machine `m` blocked by nodes that holds are
-    /// sitting on? True when a queued job does not fit now but would fit
-    /// (by node count) with the held nodes returned.
-    fn holds_block_someone(&self, m: usize) -> bool {
-        let held = self.machines[m].held_nodes();
-        if held == 0 {
-            return false;
-        }
-        let free = self.machines[m].free_nodes();
-        self.machines[m].queued_jobs().iter().any(|&id| {
-            let size = self.machines[m].job(id).map_or(0, |j| j.size);
-            // Blocked now (by count or by fragmentation) but feasible once
-            // the held nodes come back.
-            size <= free + held && !self.machines[m].can_fit(size)
-        })
-    }
-
-    /// Schedule the next release sweep for machine `m` if it has holds and
-    /// no sweep pending. The sweep fires when the *oldest* hold reaches the
-    /// release period.
-    fn arm_sweep_if_needed(&mut self, m: usize) {
-        if self.sweep_armed[m] {
-            return;
-        }
-        let Some(period) = self.config.cosched[m].release_period else {
-            return;
-        };
-        let oldest = self.machines[m]
-            .held_jobs()
-            .iter()
-            .filter_map(|&job| self.machines[m].hold_since(job))
-            .min();
-        if let Some(since) = oldest {
-            let at = (since + period).max(self.now);
-            self.queue.push(at, Event::ReleaseSweep { m });
-            self.sweep_armed[m] = true;
-        }
-    }
-
-    /// Answer one protocol request against machine `m` — the simulator's
-    /// in-process "wire". Starting side effects schedule the corresponding
-    /// end events. `parent` is the caller-side span the RPC parents under
-    /// (the pair root; [`NO_SPAN`] when untraced or unpaired) — the same
-    /// context a live transport carries in its `TracedRequest` frames.
+    /// Issue one protocol request to machine `m` — the simulator's
+    /// in-process "wire". `parent` is the caller-side span the RPC parents
+    /// under (the pair root; [`NO_SPAN`] when untraced or unpaired) — the
+    /// same context a live transport carries in its `TracedRequest` frames.
     fn remote_call(
         &mut self,
         m: usize,
@@ -801,54 +619,40 @@ impl<O: Observer> CoupledSimulation<O> {
         parent: u64,
     ) -> Result<Response, ProtoError> {
         let rpc_t0 = Instant::now();
-        let kind = rpc_kind(req);
+        let t = self.now.as_secs();
+        let kind = req.trace_kind();
         self.stats.rpc_calls += 1;
         // Caller-side RPC span: opened on the calling machine (1 - m).
-        let rpc_span = if self.observer.active() {
-            let id = self.spans.alloc();
-            self.observer.record(
-                self.now.as_secs(),
-                1 - m,
-                TraceEvent::SpanOpen {
-                    span: id,
-                    parent,
-                    kind: SpanKind::Rpc(kind),
-                    job: req_job(req),
-                    mate: NO_JOB,
-                },
-            );
-            id
-        } else {
-            NO_SPAN
-        };
-        let result = self.remote_call_inner(m, req, rpc_span);
+        let subject = (req_job(req), NO_JOB);
+        let rpc_span = self.spans.open(
+            &mut self.observer,
+            t,
+            1 - m,
+            parent,
+            SpanKind::Rpc(kind),
+            subject,
+        );
+        let result = self.deliver(m, req, rpc_span);
         let nanos = elapsed_ns(rpc_t0);
         self.rpc_latency.record(nanos);
         self.profiler.record(Phase::RpcCall, nanos);
         if result.is_err() {
             self.stats.rpc_timeouts += 1;
-            self.emit(m, || TraceEvent::RpcTimeout { kind });
+            self.observer
+                .emit_with(t, m, || TraceEvent::RpcTimeout { kind });
         } else {
-            self.emit(m, || TraceEvent::RpcCall { kind, ok: true });
+            self.observer
+                .emit_with(t, m, || TraceEvent::RpcCall { kind, ok: true });
         }
-        if rpc_span != NO_SPAN {
-            self.observer.record(
-                self.now.as_secs(),
-                1 - m,
-                TraceEvent::SpanClose { span: rpc_span },
-            );
-        }
+        SpanBook::close(&mut self.observer, t, 1 - m, rpc_span);
         result
     }
 
+    /// Deliver a request through the fault-injection layer to machine `m`'s
+    /// protocol handler and schedule the end of any job it started.
     /// `ctx_span` is the caller's RPC span id, as it would arrive in a
     /// `TracedRequest` envelope; the handler's work parents under it.
-    fn remote_call_inner(
-        &mut self,
-        m: usize,
-        req: &Request,
-        ctx_span: u64,
-    ) -> Result<Response, ProtoError> {
+    fn deliver(&mut self, m: usize, req: &Request, ctx_span: u64) -> Result<Response, ProtoError> {
         if !self.reachable[m] {
             return Err(ProtoError::Disconnected(format!(
                 "machine {m} is down (fault injection)"
@@ -857,125 +661,48 @@ impl<O: Observer> CoupledSimulation<O> {
         if self.status_timeout[m] && matches!(req, Request::GetMateStatus { .. }) {
             return Err(ProtoError::Timeout);
         }
-        // The request reached the remote: its handler work gets a span
-        // parented under the caller's RPC span (context propagation).
-        let handler_span = if self.observer.active() {
-            let id = self.spans.alloc();
-            self.observer.record(
-                self.now.as_secs(),
-                m,
-                TraceEvent::SpanOpen {
-                    span: id,
-                    parent: ctx_span,
-                    kind: SpanKind::RpcHandler(rpc_kind(req)),
-                    job: req_job(req),
-                    mate: NO_JOB,
-                },
-            );
-            id
-        } else {
-            NO_SPAN
-        };
-        let caller_machine = self.config.machines[1 - m].machine;
-        let resp = match req {
-            Request::GetMateJob { for_job } => {
-                Response::MateJob(self.registry.mate_of(caller_machine, *for_job))
+        let t = self.now.as_secs();
+        let kind = SpanKind::RpcHandler(req.trace_kind());
+        let subject = (req_job(req), NO_JOB);
+        let handler_span = self
+            .spans
+            .open(&mut self.observer, t, m, ctx_span, kind, subject);
+        let response = match *req {
+            Request::GetMateStatus { job } if self.unknown_status.contains(&(m, job)) => {
+                Response::MateStatus(MateStatus::Unknown)
             }
-            Request::GetMateStatus { job } => {
-                if self.unknown_status.contains(&(m, *job)) {
-                    Response::MateStatus(MateStatus::Unknown)
-                } else {
-                    Response::MateStatus(match self.machines[m].status(*job) {
-                        JobStatus::Unsubmitted => MateStatus::Unsubmitted,
-                        JobStatus::Queued => MateStatus::Queuing,
-                        JobStatus::Held => MateStatus::Holding,
-                        JobStatus::Running => MateStatus::Running,
-                        JobStatus::Finished => MateStatus::Finished,
-                    })
+            _ => {
+                let (response, started) = self.domains[m].handle(req, self.now, &mut self.observer);
+                if let Some((job, end)) = started {
+                    self.queue.push(end, Event::JobEnd { m, job });
+                    let anchored = matches!(req, Request::StartJob { .. });
+                    self.peer_started.insert((m, job), anchored);
+                    self.span_started(m, job);
                 }
-            }
-            Request::TryStartMate { job } => {
-                match self.machines[m].try_start_direct(*job, self.now) {
-                    Some(end) => {
-                        self.queue.push(end, Event::JobEnd { m, job: *job });
-                        self.direct_pairs.insert((m, *job));
-                        // Lifecycle event for the remote-started mate: its
-                        // own machine never passes it through `iterate`.
-                        self.emit(m, || TraceEvent::CoschedStart {
-                            job: job.0,
-                            with_mate: true,
-                        });
-                        self.span_mark_started(m, *job);
-                        Response::Started(true)
-                    }
-                    None => Response::Started(false),
-                }
-            }
-            Request::StartJob { job } => {
-                // Normal path: the mate is holding. Fall back to a direct
-                // start if a release timer raced it back into the queue.
-                let started = self.machines[m]
-                    .start_held(*job, self.now)
-                    .or_else(|| self.machines[m].try_start_direct(*job, self.now));
-                match started {
-                    Some(end) => {
-                        self.queue.push(end, Event::JobEnd { m, job: *job });
-                        self.anchored_pairs.insert((m, *job));
-                        self.emit(m, || TraceEvent::CoschedStart {
-                            job: job.0,
-                            with_mate: true,
-                        });
-                        self.span_mark_started(m, *job);
-                        Response::Started(true)
-                    }
-                    None => Response::Started(false),
-                }
-            }
-            Request::Ping => Response::Pong,
-            Request::CanStart { job } => {
-                Response::CanStart(self.machines[m].can_start_direct(*job, self.now))
+                response
             }
         };
-        if handler_span != NO_SPAN {
-            self.observer.record(
-                self.now.as_secs(),
-                m,
-                TraceEvent::SpanClose { span: handler_span },
-            );
-        }
-        Ok(resp)
+        SpanBook::close(&mut self.observer, t, m, handler_span);
+        Ok(response)
     }
 
     fn report(mut self, aborted: bool) -> RunArtifacts<O> {
         let horizon = self.now;
-        let held_ns = [
-            self.machines[0].held_node_seconds(horizon),
-            self.machines[1].held_node_seconds(horizon),
-        ];
-        let unfinished = [
-            self.jobs[0].len() - self.machines[0].records().len(),
-            self.jobs[1].len() - self.machines[1].records().len(),
-        ];
-        let records = [
-            self.machines[0].take_records(),
-            self.machines[1].take_records(),
-        ];
-        let summaries = [
+        let unfinished =
+            [0, 1].map(|m| self.jobs[m].len() - self.domains[m].machine().records().len());
+        let records = self
+            .domains
+            .each_mut()
+            .map(|d| d.machine_mut().take_records());
+        let summaries = [0, 1].map(|m| {
             MachineSummary::from_records(
-                self.config.machines[0].name.clone(),
-                &records[0],
-                self.config.machines[0].capacity,
+                self.config.machines[m].name.clone(),
+                &records[m],
+                self.config.machines[m].capacity,
                 horizon.max(SimTime::from_secs(1)),
-                held_ns[0],
-            ),
-            MachineSummary::from_records(
-                self.config.machines[1].name.clone(),
-                &records[1],
-                self.config.machines[1].capacity,
-                horizon.max(SimTime::from_secs(1)),
-                held_ns[1],
-            ),
-        ];
+                self.domains[m].machine().held_node_seconds(horizon),
+            )
+        });
         // Pair start offsets.
         let mut starts: HashMap<(usize, JobId), SimTime> = HashMap::new();
         for (m, recs) in records.iter().enumerate() {
@@ -986,36 +713,24 @@ impl<O: Observer> CoupledSimulation<O> {
         let mid = |machine| usize::from(machine == self.config.machines[1].machine);
         let mut pair_offsets = Vec::new();
         let mut rendezvous = RendezvousCounts::default();
-        for ((ma, ja), mate) in self.registry.pairs() {
+        for ((ma, ja), mate) in self.domains[0].registry().pairs() {
             if let (Some(&sa), Some(&sb)) = (
                 starts.get(&(mid(ma), ja)),
                 starts.get(&(mid(mate.machine), mate.job)),
             ) {
                 pair_offsets.push(sa.abs_diff(sb));
                 let keys = [(mid(ma), ja), (mid(mate.machine), mate.job)];
-                if keys.iter().any(|k| self.anchored_pairs.contains(k)) {
-                    rendezvous.anchored += 1;
-                } else if keys.iter().any(|k| self.direct_pairs.contains(k)) {
-                    rendezvous.direct += 1;
-                } else {
-                    rendezvous.independent += 1;
+                match keys.iter().filter_map(|k| self.peer_started.get(k)).max() {
+                    Some(true) => rendezvous.anchored += 1,
+                    Some(false) => rendezvous.direct += 1,
+                    None => rendezvous.independent += 1,
                 }
             }
         }
         pair_offsets.sort();
-        let deadlocked = !aborted && (unfinished[0] > 0 || unfinished[1] > 0);
-        let sched_stats = [self.machines[0].stats(), self.machines[1].stats()];
-        let metrics = build_metrics(
-            &self.stats,
-            &sched_stats,
-            self.forced_releases,
-            self.events,
-            self.queue.high_water(),
-            self.queue.cancelled(),
-            &pair_offsets,
-            &records,
-        );
-        let report = SimulationReport {
+        let deadlocked = !aborted && unfinished.iter().any(|&n| n > 0);
+        let sched_stats = self.domains.each_ref().map(|d| d.machine().stats());
+        let mut report = SimulationReport {
             records,
             summaries,
             horizon,
@@ -1030,8 +745,9 @@ impl<O: Observer> CoupledSimulation<O> {
             events_cancelled: self.queue.cancelled(),
             stats: self.stats,
             sched_stats,
-            metrics,
+            metrics: MetricsSnapshot::default(),
         };
+        report.metrics = build_metrics(&report);
         let mut observer = self.observer;
         observer.flush();
         RunArtifacts {
@@ -1047,18 +763,6 @@ fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Map a protocol request to its trace-event kind tag.
-fn rpc_kind(req: &Request) -> RpcKind {
-    match req {
-        Request::GetMateJob { .. } => RpcKind::GetMateJob,
-        Request::GetMateStatus { .. } => RpcKind::GetMateStatus,
-        Request::TryStartMate { .. } => RpcKind::TryStartMate,
-        Request::StartJob { .. } => RpcKind::StartJob,
-        Request::CanStart { .. } => RpcKind::CanStart,
-        Request::Ping => RpcKind::Ping,
-    }
-}
-
 /// The job a request concerns, for span records ([`NO_JOB`] for probes).
 fn req_job(req: &Request) -> u64 {
     match req {
@@ -1071,30 +775,22 @@ fn req_job(req: &Request) -> u64 {
     }
 }
 
-/// Fold the deterministic counters and derived distributions into a
-/// [`MetricsSnapshot`]. Everything here is a pure function of simulation
-/// state — no wall clock — so identical seeds yield identical snapshots.
-#[allow(clippy::too_many_arguments)]
-fn build_metrics(
-    stats: &RunStats,
-    sched: &[SchedStats; 2],
-    forced_releases: u64,
-    events: u64,
-    queue_high_water: usize,
-    events_cancelled: u64,
-    pair_offsets: &[SimDuration],
-    records: &[Vec<JobRecord>; 2],
-) -> MetricsSnapshot {
+/// Fold the report's deterministic counters and derived distributions
+/// into a [`MetricsSnapshot`]. Everything here is a pure function of
+/// simulation state — no wall clock — so identical seeds yield identical
+/// snapshots.
+fn build_metrics(report: &SimulationReport) -> MetricsSnapshot {
+    let (stats, sched) = (&report.stats, &report.sched_stats);
     let mut reg = MetricsRegistry::new();
-    reg.set("engine.events_dispatched", events);
-    reg.set("engine.queue_high_water", queue_high_water as u64);
-    reg.set("engine.events_cancelled", events_cancelled);
+    reg.set("engine.events_dispatched", report.events);
+    reg.set("engine.queue_high_water", report.queue_high_water as u64);
+    reg.set("engine.events_cancelled", report.events_cancelled);
     reg.set("cosched.holds", stats.holds);
     reg.set("cosched.yields", stats.yields);
     reg.set("cosched.degradations", stats.degradations);
     reg.set("cosched.escalations", stats.escalations);
     reg.set("cosched.release_sweeps", stats.release_sweeps);
-    reg.set("cosched.forced_releases", forced_releases);
+    reg.set("cosched.forced_releases", report.forced_releases);
     reg.set("rpc.calls", stats.rpc_calls);
     reg.set("rpc.timeouts", stats.rpc_timeouts);
     let agg = |f: fn(&SchedStats) -> u64| f(&sched[0]) + f(&sched[1]);
@@ -1107,13 +803,11 @@ fn build_metrics(
         "sched.alloc_fail_fragmentation",
         agg(|s| s.alloc_fail_fragmentation),
     );
-    for d in pair_offsets {
+    for d in &report.pair_offsets {
         reg.observe("pair.start_offset_secs", d.as_secs());
     }
-    for recs in records {
-        for r in recs {
-            reg.observe("job.wait_secs", r.wait().as_secs());
-        }
+    for r in report.records.iter().flatten() {
+        reg.observe("job.wait_secs", r.wait().as_secs());
     }
     reg.snapshot()
 }

@@ -15,16 +15,20 @@
 //! * [`algorithm`] — Algorithm 1 (`Run_Job`) as a pure decision procedure
 //!   over the protocol vocabulary, shared by the simulator and the live
 //!   endpoint, including all fault-tolerance branches;
+//! * `domain` (crate-private) — one machine's domain core, shared by the
+//!   simulator and the live daemon: the protocol handler, the decision
+//!   commit, the batch release policy (deadlock breaker), and submission;
 //! * [`driver`] — the coupled event-driven simulator (the Qsim extension of
-//!   §V-A): both machines in one deterministic event loop, coordination
-//!   routed through protocol messages, hold-release timers, deadlock
-//!   detection, and a [`driver::SimulationReport`];
-//! * [`live`] — a wall-clock domain wrapper that serves the protocol over a
+//!   §V-A): two domains in one deterministic event loop, coordination
+//!   routed through protocol messages, fault injection, causal spans,
+//!   deadlock detection, and a [`driver::SimulationReport`];
+//! * [`live`] — a domain behind a mutex that serves the protocol over a
 //!   real [`cosched_proto::Transport`], demonstrating deployment outside
 //!   the simulator.
 
 pub mod algorithm;
 pub mod config;
+mod domain;
 pub mod driver;
 pub mod live;
 pub mod nway;
@@ -33,6 +37,7 @@ pub mod temporal;
 
 pub use algorithm::{run_job, run_job_traced, Decision, LocalContext};
 pub use config::{CoschedConfig, CoupledConfig, Scheme, SchemeCombo};
+pub use domain::SubmitError;
 pub use driver::{CoupledSimulation, RunArtifacts, RunStats, SimulationReport};
 pub use nway::{GroupId, GroupRegistry, NwayConfig, NwayReport, NwaySimulation};
 pub use registry::MateRegistry;

@@ -2,34 +2,31 @@
 //!
 //! The simulator validates the mechanism; this module is the shape a real
 //! deployment takes — what the paper means by "implemented it in an
-//! existing resource manager". A [`LiveDomain`] owns one machine's
-//! scheduler, answers the coordination protocol for its peer (plug
-//! [`LiveDomain::service`] into [`cosched_proto::tcp::serve`] or an in-proc
-//! pair), and drives its own scheduling iterations through the *same*
-//! [`run_job`] decision procedure the simulator uses, but across a real
-//! [`Transport`].
+//! existing resource manager". A [`LiveDomain`] is a mutex around the same
+//! `Domain` the coupled simulator drives — protocol handler, decision
+//! commit, and batch release policy included — plus what a daemon needs:
+//! pending completions, span contexts seen on incoming frames, an optional
+//! telemetry monitor, and a pump running Algorithm 1 across a real
+//! [`Transport`]. Serve the protocol by plugging [`LiveDomain::service`]
+//! into [`cosched_proto::tcp::serve`] or an in-proc pair.
 //!
 //! Time is passed in explicitly (any monotonic `SimTime` source), keeping
 //! the domain testable and letting examples compress wall-clock time.
 
-use crate::algorithm::{run_job, Decision, LocalContext};
 use crate::config::CoschedConfig;
+use crate::domain::{Domain, SubmitError, Sweep};
 use crate::registry::MateRegistry;
 use cosched_metrics::JobRecord;
 use cosched_obs::monitor::StreamingMonitor;
-use cosched_obs::{Observer, TraceEvent};
-use cosched_proto::{DomainService, MateStatus, Request, Response, SpanContext, Transport};
-use cosched_sched::{JobStatus, Machine};
+use cosched_proto::{DomainService, Request, Response, SpanContext, Transport};
+use cosched_sched::Machine;
 use cosched_sim::SimTime;
 use cosched_workload::{Job, JobId, MachineId};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 struct Inner {
-    machine: Machine,
-    cfg: CoschedConfig,
-    registry: MateRegistry,
-    peer: MachineId,
+    domain: Domain,
     /// Completion deadlines of started jobs, processed by `complete_due`.
     ends: Vec<(JobId, SimTime)>,
     /// Caller span ids seen on incoming requests (context propagated
@@ -37,20 +34,9 @@ struct Inner {
     /// correlate this domain's handler work with the peer's causal spans.
     peer_spans: Vec<u64>,
     /// Attached streaming monitor ([`LiveDomain::attach_telemetry`]); the
-    /// daemon reports lifecycle transitions into it so `/metrics`,
-    /// `/state`, and alert rules see live domains exactly as they see
-    /// simulated ones.
+    /// domain reports its events into it so `/metrics`, `/state`, and
+    /// alert rules see live domains exactly as they see simulated ones.
     monitor: Option<StreamingMonitor>,
-}
-
-impl Inner {
-    /// Report one event into the attached monitor (no-op when detached).
-    fn tell(&mut self, now: SimTime, event: TraceEvent) {
-        let index = self.machine.config().machine.0;
-        if let Some(monitor) = self.monitor.as_mut() {
-            monitor.record(now.as_secs(), index, event);
-        }
-    }
 }
 
 /// One scheduling domain of a live coupled system. Cheap to clone (shared
@@ -70,12 +56,10 @@ impl LiveDomain {
         registry: MateRegistry,
         peer: MachineId,
     ) -> Self {
+        let index = machine.config().machine.0;
         LiveDomain {
             inner: Arc::new(Mutex::new(Inner {
-                machine,
-                cfg,
-                registry,
-                peer,
+                domain: Domain::new(machine, cfg, Arc::new(registry), peer, index),
                 ends: Vec::new(),
                 peer_spans: Vec::new(),
                 monitor: None,
@@ -84,83 +68,34 @@ impl LiveDomain {
     }
 
     /// Attach a streaming monitor: the domain reports submits, Algorithm 1
-    /// transitions (start/hold/yield, forced releases), and completions
-    /// into it, and registers its capacity under its machine index. Serve
-    /// the same monitor via `cosched_telemetry` to expose the daemon's
-    /// `/metrics`, `/healthz`, and `/state`.
+    /// transitions (start/hold/yield, scheme shifts, rendezvous commits,
+    /// forced releases), and completions into it, and registers its
+    /// capacity under its machine index. Serve the same monitor via
+    /// `cosched_telemetry` to expose the daemon's `/metrics`, `/healthz`,
+    /// and `/state`.
     pub fn attach_telemetry(&self, monitor: StreamingMonitor) {
         let mut g = self.inner.lock();
-        let config = g.machine.config();
+        let config = g.domain.machine().config();
         monitor.set_capacity(config.machine.0, config.capacity);
         g.monitor = Some(monitor);
     }
 
-    /// Submit a job locally.
-    pub fn submit(&self, job: Job, now: SimTime) {
+    /// Submit a job locally. Refuses, without changing anything, a job
+    /// addressed to another machine, one whose submit time is later than
+    /// `now`, and a duplicate id.
+    pub fn submit(&self, job: Job, now: SimTime) -> Result<(), SubmitError> {
         let mut g = self.inner.lock();
-        let own = g.machine.config().machine;
-        let paired = g.registry.mate_of(own, job.id).is_some();
-        let event = TraceEvent::JobSubmitted {
-            job: job.id.0,
-            size: job.size,
-            paired,
-        };
-        g.machine.submit(job, now);
-        g.tell(now, event);
+        let g = &mut *g;
+        g.domain.submit(job, now, &mut g.monitor)
     }
 
     /// Answer one incoming protocol request at local time `now`.
     pub fn handle(&self, req: Request, now: SimTime) -> Response {
         let mut g = self.inner.lock();
-        match req {
-            Request::GetMateJob { for_job } => {
-                let peer = g.peer;
-                Response::MateJob(g.registry.mate_of(peer, for_job))
-            }
-            Request::GetMateStatus { job } => Response::MateStatus(match g.machine.status(job) {
-                JobStatus::Unsubmitted => MateStatus::Unsubmitted,
-                JobStatus::Queued => MateStatus::Queuing,
-                JobStatus::Held => MateStatus::Holding,
-                JobStatus::Running => MateStatus::Running,
-                JobStatus::Finished => MateStatus::Finished,
-            }),
-            Request::TryStartMate { job } => match g.machine.try_start_direct(job, now) {
-                Some(end) => {
-                    g.ends.push((job, end));
-                    g.tell(
-                        now,
-                        TraceEvent::CoschedStart {
-                            job: job.0,
-                            with_mate: true,
-                        },
-                    );
-                    Response::Started(true)
-                }
-                None => Response::Started(false),
-            },
-            Request::StartJob { job } => {
-                let started = g
-                    .machine
-                    .start_held(job, now)
-                    .or_else(|| g.machine.try_start_direct(job, now));
-                match started {
-                    Some(end) => {
-                        g.ends.push((job, end));
-                        g.tell(
-                            now,
-                            TraceEvent::CoschedStart {
-                                job: job.0,
-                                with_mate: true,
-                            },
-                        );
-                        Response::Started(true)
-                    }
-                    None => Response::Started(false),
-                }
-            }
-            Request::Ping => Response::Pong,
-            Request::CanStart { job } => Response::CanStart(g.machine.can_start_direct(job, now)),
-        }
+        let g = &mut *g;
+        let (response, started) = g.domain.handle(&req, now, &mut g.monitor);
+        g.ends.extend(started);
+        response
     }
 
     /// Build a [`DomainService`] for the protocol server, reading time from
@@ -184,7 +119,7 @@ impl LiveDomain {
     }
 
     /// Run one local scheduling iteration at `now`, coordinating over
-    /// `remote`. Also fires due hold-release timers first.
+    /// `remote`. Fires a due release sweep first.
     ///
     /// The domain lock is **not** held across protocol calls, so two
     /// mutually coupled domains may pump concurrently without deadlocking
@@ -194,142 +129,63 @@ impl LiveDomain {
     /// hold or yield and re-align at the next iteration — never to a
     /// missed or double start. Call `pump` from one thread per domain.
     pub fn pump<T: Transport>(&self, now: SimTime, remote: &mut T) {
-        self.fire_due_releases(now);
-        self.inner.lock().machine.begin_iteration();
+        {
+            let mut g = self.inner.lock();
+            let g = &mut *g;
+            if g.domain.sweep(now) == Sweep::Release {
+                g.domain.release_holds(now, &mut g.monitor, |_, _| {});
+            }
+            g.domain.machine_mut().begin_iteration();
+        }
         loop {
-            // Phase 1: pick a candidate and snapshot context under the lock.
-            let picked = {
-                let mut g = self.inner.lock();
-                g.machine.pick_next(now).map(|cand| {
-                    let job = g
-                        .machine
-                        .job(cand.job_id)
-                        .expect("candidate exists")
-                        .clone();
-                    let capacity = g.machine.config().capacity;
-                    let held = g.machine.held_nodes();
-                    let yields = g.machine.yields_of(cand.job_id);
-                    (cand, job, capacity, held, yields, g.cfg.clone())
-                })
-            };
-            let Some((cand, job, capacity, held_nodes, yields_so_far, cfg)) = picked else {
+            // Phase 1: pick a candidate and snapshot its context under the
+            // lock.
+            let Some(ready) = self.inner.lock().domain.pick(now) else {
                 break;
             };
             // Phase 2: run Algorithm 1 with the lock released.
-            let ctx = LocalContext {
-                job: &job,
-                candidate_charged: cand.charged,
-                capacity,
-                held_nodes,
-                yields_so_far,
-            };
-            let decision = run_job(&cfg, &ctx, |req| remote.call(req));
+            let outcome = ready.decide(|req| remote.call(req));
             // Phase 3: commit under the lock.
             let mut g = self.inner.lock();
-            match decision {
-                Decision::Start { mate_started } => {
-                    let end = g.machine.start(cand, now);
-                    g.ends.push((job.id, end));
-                    g.tell(
-                        now,
-                        TraceEvent::CoschedStart {
-                            job: job.id.0,
-                            with_mate: mate_started.is_some(),
-                        },
-                    );
-                }
-                Decision::Hold => {
-                    g.machine.hold(cand, now);
-                    g.tell(
-                        now,
-                        TraceEvent::CoschedHoldPlaced {
-                            job: job.id.0,
-                            nodes: job.size,
-                        },
-                    );
-                }
-                Decision::Yield => {
-                    g.machine.yield_job(cand, now);
-                    g.tell(
-                        now,
-                        TraceEvent::CoschedYield {
-                            job: job.id.0,
-                            yields_so_far: yields_so_far + 1,
-                        },
-                    );
-                }
+            let g = &mut *g;
+            let id = ready.job.id;
+            if let Some(end) = g
+                .domain
+                .commit(ready, outcome, now, &mut g.monitor, |_, _, _| {})
+            {
+                g.ends.push((id, end));
             }
         }
-    }
-
-    /// Force-release holds older than the configured release period.
-    fn fire_due_releases(&self, now: SimTime) {
-        let mut g = self.inner.lock();
-        let Some(period) = g.cfg.release_period else {
-            return;
-        };
-        let due: Vec<JobId> = g
-            .machine
-            .held_jobs()
-            .iter()
-            .filter(|&&id| match g.machine.hold_since(id) {
-                Some(since) => since + period <= now,
-                None => false,
-            })
-            .copied()
-            .collect();
-        let held_before = g.machine.held_jobs().len();
-        let released = due.len();
-        for id in due {
-            g.machine.release_held(id, now);
-            g.tell(now, TraceEvent::CoschedDeadlockDemotion { job: id.0 });
-        }
-        if released > 0 {
-            g.tell(
-                now,
-                TraceEvent::CoschedReleaseSweep {
-                    released,
-                    held_before,
-                },
-            );
-        }
+        self.inner.lock().domain.arm_sweep(now);
     }
 
     /// Complete all started jobs whose end time has passed. Returns how many
     /// finished.
     pub fn complete_due(&self, now: SimTime) -> usize {
         let mut g = self.inner.lock();
-        let mut due: Vec<(JobId, SimTime)> = Vec::new();
-        g.ends.retain(|&(id, end)| {
-            if end <= now {
-                due.push((id, end));
-                false
-            } else {
-                true
-            }
-        });
+        let g = &mut *g;
+        let mut due: Vec<_> = g.ends.extract_if(.., |&mut (_, end)| end <= now).collect();
         due.sort_by_key(|&(_, end)| end);
         let n = due.len();
         for (id, end) in due {
-            g.machine.finish(id, end);
-            g.tell(end, TraceEvent::JobEnded { job: id.0 });
+            g.domain.finish(id, end, &mut g.monitor);
         }
         n
     }
 
     /// Completed-job records so far.
     pub fn records(&self) -> Vec<JobRecord> {
-        self.inner.lock().machine.records().to_vec()
+        self.inner.lock().domain.machine().records().to_vec()
     }
 
     /// True when no queued, held, or running jobs remain.
     pub fn drained(&self) -> bool {
-        self.inner.lock().machine.drained()
+        self.inner.lock().domain.machine().drained()
     }
 
     /// Jobs currently held (for observability).
     pub fn held(&self) -> Vec<JobId> {
-        self.inner.lock().machine.held_jobs().to_vec()
+        self.inner.lock().domain.machine().held_jobs().to_vec()
     }
 }
 
@@ -446,12 +302,12 @@ mod tests {
 
         // Submit the pair: job 1 on A first; A pumps and holds (mate not
         // submitted yet).
-        a.submit(job(0, 1, 4, 60), SimTime::ZERO);
+        a.submit(job(0, 1, 4, 60), SimTime::ZERO).unwrap();
         a.pump(SimTime::ZERO, &mut to_b);
         assert_eq!(a.held(), vec![JobId(1)]);
 
         // Now the mate arrives on B; B pumps, sees A holding, both start.
-        b.submit(job(1, 1, 4, 60), SimTime::ZERO);
+        b.submit(job(1, 1, 4, 60), SimTime::ZERO).unwrap();
         b.pump(SimTime::ZERO, &mut to_a);
         assert!(b.held().is_empty());
 
@@ -499,13 +355,13 @@ mod tests {
             let mut svc = b_svc.service(|| SimTime::ZERO);
             server_b.serve(&mut svc);
         });
-        a.submit(job(0, 1, 4, 60), SimTime::ZERO);
+        a.submit(job(0, 1, 4, 60), SimTime::ZERO).unwrap();
         a.pump(SimTime::ZERO, &mut to_b);
         let snap = monitor.snapshot();
         assert_eq!((snap.held, snap.holds_placed), (1, 1), "A holds for mate");
 
-        b.submit(job(1, 1, 4, 60), SimTime::ZERO);
-        b.pump(SimTime::ZERO, &mut to_a_stub(&a));
+        b.submit(job(1, 1, 4, 60), SimTime::ZERO).unwrap();
+        b.pump(SimTime::ZERO, &mut direct(&a));
         let snap = monitor.snapshot();
         assert_eq!(snap.running, 2, "pair started on both machines");
         assert_eq!(snap.held, 0);
@@ -526,7 +382,7 @@ mod tests {
     }
 
     /// Direct (no thread) transport into domain `a` for tests.
-    fn to_a_stub(a: &LiveDomain) -> impl Transport + '_ {
+    fn direct(a: &LiveDomain) -> impl Transport + '_ {
         struct Direct<'d>(&'d LiveDomain);
         impl Transport for Direct<'_> {
             fn call(&mut self, req: &Request) -> Result<Response, cosched_proto::ProtoError> {
@@ -536,6 +392,10 @@ mod tests {
         Direct(a)
     }
 
+    /// The release sweep is the simulator's batch policy: a due sweep
+    /// keeps holds that block nobody and re-arms one period later; once a
+    /// queued job is blocked by held nodes, it releases every hold and the
+    /// blocked job starts ahead of the demoted ones.
     #[test]
     fn release_timer_fires_in_pump() {
         let a = LiveDomain::new(
@@ -545,39 +405,88 @@ mod tests {
             registry_with_pair(),
             MachineId(1),
         );
-        // Remote that always reports the mate queuing but never startable.
-        struct Stub;
-        impl Transport for Stub {
-            fn call(&mut self, req: &Request) -> Result<Response, cosched_proto::ProtoError> {
-                Ok(match req {
-                    Request::GetMateJob { .. } => {
-                        Response::MateJob(Some(cosched_workload::MateRef {
-                            machine: MachineId(1),
-                            job: JobId(1),
-                        }))
-                    }
-                    Request::GetMateStatus { .. } => Response::MateStatus(MateStatus::Queuing),
-                    Request::TryStartMate { .. } => Response::Started(false),
-                    _ => Response::Error("unexpected".into()),
-                })
-            }
+        // On B a long filler takes every node, so job 1's mate stays queued
+        // and cannot be started.
+        let b = LiveDomain::new(
+            Machine::new(MachineConfig::flat("B", MachineId(1), 10)),
+            CoschedConfig::paper(Scheme::Hold),
+            registry_with_pair(),
+            MachineId(0),
+        );
+        b.submit(job(1, 9, 10, 100_000), SimTime::ZERO).unwrap();
+        b.pump(SimTime::ZERO, &mut direct(&a));
+        b.submit(job(1, 1, 4, 60), SimTime::ZERO).unwrap();
+        let hold_since = |a: &LiveDomain| a.inner.lock().domain.machine().hold_since(JobId(1));
+        a.submit(job(0, 1, 4, 60), SimTime::ZERO).unwrap();
+        a.pump(SimTime::ZERO, &mut direct(&b));
+        assert_eq!(a.held(), vec![JobId(1)]);
+        // Before the period: still held.
+        a.pump(SimTime::from_secs(600), &mut direct(&b));
+        assert_eq!(hold_since(&a), Some(SimTime::ZERO));
+        // Due, but the hold blocks nobody: it stays, and the sweep re-arms
+        // for t = 1300 + 1200.
+        a.pump(SimTime::from_secs(1_300), &mut direct(&b));
+        assert_eq!(hold_since(&a), Some(SimTime::ZERO));
+        // An 8-node job cannot fit beside the 4 held nodes.
+        let t = SimTime::from_secs(1_400);
+        let mut blocked = job(0, 2, 8, 60);
+        blocked.submit = t;
+        a.submit(blocked, t).unwrap();
+        a.pump(t, &mut direct(&b));
+        assert_eq!(hold_since(&a), Some(SimTime::ZERO));
+        // The re-armed sweep releases the hold; job 2 takes the nodes and
+        // the demoted job 1 no longer fits.
+        let t = SimTime::from_secs(2_500);
+        a.pump(t, &mut direct(&b));
+        assert!(a.held().is_empty());
+        assert_eq!(a.complete_due(t + SimDuration::from_secs(60)), 1);
+        assert_eq!(a.records()[0].id, JobId(2));
+        assert_eq!(a.records()[0].start, t);
+    }
+
+    /// Outside input a daemon cannot trust is refused with a typed error,
+    /// not a panic, and leaves the domain unchanged.
+    fn submit_refusal(bad: Job, now: SimTime) -> SubmitError {
+        let a = LiveDomain::new(
+            Machine::new(MachineConfig::flat("A", MachineId(0), 10)),
+            CoschedConfig::paper(Scheme::Hold),
+            registry_with_pair(),
+            MachineId(1),
+        );
+        a.submit(job(0, 7, 4, 60), SimTime::ZERO).unwrap();
+        let refused = a.submit(bad, now).unwrap_err();
+        a.pump(now, &mut Dead);
+        assert_eq!(a.complete_due(now + SimDuration::from_secs(60)), 1);
+        assert!(a.drained(), "only the accepted job ran");
+        refused
+    }
+
+    /// A peer that is always down: every job starts normally.
+    struct Dead;
+    impl Transport for Dead {
+        fn call(&mut self, _req: &Request) -> Result<Response, cosched_proto::ProtoError> {
+            Err(cosched_proto::ProtoError::Timeout)
         }
-        a.submit(job(0, 1, 4, 60), SimTime::ZERO);
-        a.pump(SimTime::ZERO, &mut Stub);
-        assert_eq!(a.held(), vec![JobId(1)]);
-        // Before the period: still held (pump re-holds it after iterating).
-        a.pump(SimTime::from_secs(600), &mut Stub);
-        assert_eq!(a.held(), vec![JobId(1)]);
-        // After the period the release fires; the job re-enters the queue,
-        // is picked again, and re-holds (mate still queuing) — but the
-        // release demonstrably happened: its hold episode timestamp moved.
-        a.pump(SimTime::from_secs(1_300), &mut Stub);
-        assert_eq!(a.held(), vec![JobId(1)]);
-        let inner_since = {
-            let g = a.inner.lock();
-            g.machine.hold_since(JobId(1)).unwrap()
-        };
-        assert_eq!(inner_since, SimTime::from_secs(1_300));
+    }
+
+    #[test]
+    fn submit_refuses_a_job_for_another_machine() {
+        let err = submit_refusal(job(1, 1, 4, 60), SimTime::ZERO);
+        assert_eq!(err, SubmitError::WrongMachine(JobId(1), MachineId(1)));
+    }
+
+    #[test]
+    fn submit_refuses_a_job_from_the_future() {
+        let mut early = job(0, 1, 4, 60);
+        early.submit = SimTime::from_secs(30);
+        let err = submit_refusal(early, SimTime::from_secs(10));
+        assert_eq!(err, SubmitError::Early(JobId(1), SimTime::from_secs(30)));
+    }
+
+    #[test]
+    fn submit_refuses_a_duplicate_id() {
+        let err = submit_refusal(job(0, 7, 4, 60), SimTime::ZERO);
+        assert_eq!(err, SubmitError::Duplicate(JobId(7)));
     }
 
     #[test]
@@ -588,13 +497,7 @@ mod tests {
             registry_with_pair(),
             MachineId(1),
         );
-        struct Dead;
-        impl Transport for Dead {
-            fn call(&mut self, _req: &Request) -> Result<Response, cosched_proto::ProtoError> {
-                Err(cosched_proto::ProtoError::Timeout)
-            }
-        }
-        a.submit(job(0, 1, 4, 60), SimTime::ZERO);
+        a.submit(job(0, 1, 4, 60), SimTime::ZERO).unwrap();
         a.pump(SimTime::ZERO, &mut Dead);
         assert!(
             a.held().is_empty(),

@@ -51,6 +51,26 @@ impl Observer for NoopObserver {
     fn record(&mut self, _time: u64, _machine: usize, _event: TraceEvent) {}
 }
 
+/// An optional observer records only while one is attached.
+impl<O: Observer> Observer for Option<O> {
+    #[inline]
+    fn active(&self) -> bool {
+        self.as_ref().is_some_and(O::active)
+    }
+
+    fn record(&mut self, time: u64, machine: usize, event: TraceEvent) {
+        if let Some(observer) = self {
+            observer.record(time, machine, event);
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Some(observer) = self {
+            observer.flush();
+        }
+    }
+}
+
 /// Where serialized trace records end up.
 pub trait Sink {
     fn accept(&mut self, record: &TraceRecord);

@@ -88,9 +88,13 @@ fn main() {
 
     // Tick 0: filler occupies the whole analysis cluster; the compute half
     // of the pair arrives and must wait for its mate.
-    analysis.submit(job(1, 9, 8, 5), now());
+    analysis
+        .submit(job(1, 9, 8, 5), now())
+        .expect("a valid submission");
     analysis.pump(now(), &mut analysis_to_compute);
-    compute.submit(job(0, 1, 32, 10), now());
+    compute
+        .submit(job(0, 1, 32, 10), now())
+        .expect("a valid submission");
     compute.pump(now(), &mut compute_to_analysis);
     println!(
         "tick 0: compute holds {:?} (mate not submitted yet)",
@@ -99,7 +103,9 @@ fn main() {
 
     // Tick 2: the analysis mate arrives but the filler still runs.
     clock.store(2, Ordering::SeqCst);
-    analysis.submit(job(1, 1, 8, 10), now());
+    analysis
+        .submit(job(1, 1, 8, 10), now())
+        .expect("a valid submission");
     analysis.pump(now(), &mut analysis_to_compute);
     println!(
         "tick 2: analysis mate queued (cluster full), compute still holds {:?}",

@@ -1,4 +1,5 @@
-//! Regenerate the golden trace fixture `tests/fixtures/hy_seed13.jsonl`.
+//! Regenerate the golden trace fixtures under `tests/fixtures/`:
+//! `hy_seed13.jsonl` and `hh_sweep.jsonl`.
 //!
 //! Run after an *intentional* trace-schema change:
 //!
@@ -6,52 +7,19 @@
 //! cargo run --example regen_fixture
 //! ```
 //!
-//! The parameters here must stay identical to `fixture_records()` in
-//! `tests/trace_analysis.rs`, which asserts the committed file matches a
-//! regenerated run byte for byte.
+//! The runs are defined once in `tests/support/golden.rs`, which
+//! `tests/trace_analysis.rs` also uses to assert that the committed files
+//! match a regenerated run byte for byte.
 
-use coupled_cosched::cosched::{CoschedConfig, CoupledConfig, CoupledSimulation, SchemeCombo};
 use coupled_cosched::obs::write_trace_string;
-use coupled_cosched::prelude::*;
-use coupled_cosched::sim::{SimDuration, SimRng};
-use coupled_cosched::workload::{pairing, MachineModel, TraceGenerator};
+
+#[path = "../tests/support/golden.rs"]
+mod golden;
 
 fn main() {
-    let rng = SimRng::seed_from_u64(13);
-    let model = MachineModel::eureka();
-    let mut a = TraceGenerator::new(model.clone(), MachineId(0))
-        .span(SimDuration::from_hours(12))
-        .target_utilization(0.4)
-        .generate(&mut rng.fork(0));
-    let mut b = TraceGenerator::new(model, MachineId(1))
-        .span(SimDuration::from_hours(12))
-        .target_utilization(0.4)
-        .generate(&mut rng.fork(1));
-    pairing::pair_exact_proportion(
-        &mut a,
-        &mut b,
-        0.25,
-        SimDuration::from_mins(2),
-        &mut rng.fork(2),
-    );
-    let cfg = CoupledConfig {
-        machines: [
-            MachineConfig::eureka(MachineId(0)),
-            MachineConfig::eureka(MachineId(1)),
-        ],
-        cosched: [
-            CoschedConfig::paper(SchemeCombo::HY.of(0)),
-            CoschedConfig::paper(SchemeCombo::HY.of(1)),
-        ],
-        max_events: 1_000_000,
-    };
-    let arts = CoupledSimulation::with_observer(cfg, [a, b], SinkObserver::new(VecSink::default()))
-        .run_traced();
-    let records = arts.observer.into_sink().records;
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/hy_seed13.jsonl"
-    );
-    std::fs::write(path, write_trace_string(&records)).expect("write fixture");
-    println!("wrote {} records to {path}", records.len());
+    for (name, records) in golden::fixtures() {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(&path, write_trace_string(&records)).expect("write fixture");
+        println!("wrote {} records to {path}", records.len());
+    }
 }

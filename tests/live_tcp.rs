@@ -80,9 +80,9 @@ fn hold_yield_pair_synchronizes_over_tcp() {
     let t0 = SimTime::ZERO;
 
     // Pair job arrives on A first; B is fully busy with a filler.
-    r.b.submit(job(1, 9, 0, 50, 120), t0);
+    r.b.submit(job(1, 9, 0, 50, 120), t0).unwrap();
     r.b.pump(t0, &mut r.b_to_a);
-    r.a.submit(job(0, 1, 0, 20, 60), t0);
+    r.a.submit(job(0, 1, 0, 20, 60), t0).unwrap();
     r.a.pump(t0, &mut r.a_to_b);
     assert_eq!(
         r.a.held(),
@@ -93,7 +93,7 @@ fn hold_yield_pair_synchronizes_over_tcp() {
     // Mate arrives on B but cannot start (filler).
     r.clock.store(30, Ordering::SeqCst);
     let t30 = SimTime::from_secs(30);
-    r.b.submit(job(1, 1, 30, 20, 60), t30);
+    r.b.submit(job(1, 1, 30, 20, 60), t30).unwrap();
     r.b.pump(t30, &mut r.b_to_a);
     assert_eq!(r.a.held(), vec![JobId(1)], "still holding: B had no room");
 
@@ -136,15 +136,15 @@ fn hold_yield_pair_synchronizes_over_tcp() {
 fn yield_yield_pair_synchronizes_over_tcp() {
     let mut r = rig(Scheme::Yield, Scheme::Yield, one_pair_registry());
     let t0 = SimTime::ZERO;
-    r.b.submit(job(1, 9, 0, 50, 100), t0);
+    r.b.submit(job(1, 9, 0, 50, 100), t0).unwrap();
     r.b.pump(t0, &mut r.b_to_a);
-    r.a.submit(job(0, 1, 0, 20, 60), t0);
+    r.a.submit(job(0, 1, 0, 20, 60), t0).unwrap();
     r.a.pump(t0, &mut r.a_to_b);
     assert!(r.a.held().is_empty(), "yield scheme never holds");
 
     r.clock.store(50, Ordering::SeqCst);
     let t50 = SimTime::from_secs(50);
-    r.b.submit(job(1, 1, 50, 20, 60), t50);
+    r.b.submit(job(1, 1, 50, 20, 60), t50).unwrap();
     r.b.pump(t50, &mut r.b_to_a); // mate ready? A's job queued; try_start_mate(A) starts it
     r.a.pump(t50, &mut r.a_to_b);
 
@@ -206,7 +206,7 @@ fn protocol_queries_reflect_domain_state() {
 
     // Submit and query again: queuing… after a pump with no transport
     // trouble it becomes held (scheme hold, mate unsubmitted on B).
-    r.a.submit(job(0, 1, 0, 20, 60), SimTime::ZERO);
+    r.a.submit(job(0, 1, 0, 20, 60), SimTime::ZERO).unwrap();
     let resp = probe
         .call(&Request::GetMateStatus { job: JobId(1) })
         .unwrap();
@@ -228,7 +228,7 @@ fn dead_peer_over_tcp_triggers_fault_tolerance() {
     // Kill B's server before A pumps: A's calls fail ⇒ its paired job
     // starts normally instead of holding.
     r.srv_b.shutdown();
-    r.a.submit(job(0, 1, 0, 20, 60), SimTime::ZERO);
+    r.a.submit(job(0, 1, 0, 20, 60), SimTime::ZERO).unwrap();
     r.a.pump(SimTime::ZERO, &mut r.a_to_b);
     assert!(r.a.held().is_empty(), "no holding against a dead peer");
     r.clock.store(60, Ordering::SeqCst);

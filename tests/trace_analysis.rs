@@ -10,6 +10,9 @@ use coupled_cosched::sim::{SimDuration, SimRng};
 use coupled_cosched::trace::SchemeGuess;
 use coupled_cosched::workload::{pairing, MachineModel, TraceGenerator};
 
+#[path = "support/golden.rs"]
+mod golden;
+
 fn workload(seed: u64) -> [Trace; 2] {
     let rng = SimRng::seed_from_u64(seed);
     let model = MachineModel::eureka();
@@ -134,48 +137,19 @@ fn golden_fixture_round_trips_byte_identically() {
 
 #[test]
 fn golden_fixture_matches_regenerated_trace() {
-    // The fixture was produced by the committed generator at a fixed seed;
-    // regenerating must reproduce it, pinning both workload determinism and
-    // the on-disk trace schema. Regenerate with `cargo run --example
-    // regen_fixture` (or see tests/fixtures/README.md) after intentional
-    // schema changes.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/hy_seed13.jsonl"
-    );
-    let text = std::fs::read_to_string(path).expect("committed golden fixture");
-    let regenerated = write_trace_string(&fixture_records());
-    assert_eq!(
-        regenerated, text,
-        "regenerated trace diverged from the committed golden fixture"
-    );
-}
-
-/// The exact run that produced `tests/fixtures/hy_seed13.jsonl`: a short
-/// HY simulation over a half-day seed-13 workload.
-fn fixture_records() -> Vec<TraceRecord> {
-    let rng = SimRng::seed_from_u64(13);
-    let model = MachineModel::eureka();
-    let mut a = TraceGenerator::new(model.clone(), MachineId(0))
-        .span(SimDuration::from_hours(12))
-        .target_utilization(0.4)
-        .generate(&mut rng.fork(0));
-    let mut b = TraceGenerator::new(model, MachineId(1))
-        .span(SimDuration::from_hours(12))
-        .target_utilization(0.4)
-        .generate(&mut rng.fork(1));
-    pairing::pair_exact_proportion(
-        &mut a,
-        &mut b,
-        0.25,
-        SimDuration::from_mins(2),
-        &mut rng.fork(2),
-    );
-    let arts = CoupledSimulation::with_observer(
-        config(SchemeCombo::HY),
-        [a, b],
-        SinkObserver::new(VecSink::default()),
-    )
-    .run_traced();
-    arts.observer.into_sink().records
+    // Each fixture was produced by a committed run (`tests/support/
+    // golden.rs`); regenerating must reproduce it, pinning workload
+    // determinism, the on-disk trace schema, and — for `hh_sweep.jsonl` —
+    // the event order inside a release sweep. Regenerate with `cargo run
+    // --example regen_fixture` (or see tests/fixtures/README.md) after
+    // intentional schema changes.
+    for (name, records) in golden::fixtures() {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("committed golden fixture");
+        assert_eq!(
+            write_trace_string(&records),
+            text,
+            "regenerated trace diverged from the committed golden fixture {name}"
+        );
+    }
 }
