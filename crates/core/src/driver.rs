@@ -37,9 +37,8 @@ use cosched_obs::{
 };
 use cosched_proto::{MateStatus, ProtoError, Request, Response};
 use cosched_sched::{Machine, SchedStats};
-use cosched_sim::{EventQueue, SimDuration, SimTime};
+use cosched_sim::{EventQueue, IdHashMap, IdHashSet, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, Trace};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -174,11 +173,21 @@ struct SpanBook {
     next: u64,
     /// Open pair root spans and which members have started, keyed by
     /// (machine-0 member id, machine-1 member id).
-    pairs: HashMap<(u64, u64), (u64, [bool; 2])>,
+    pairs: IdHashMap<(u64, u64), (u64, [bool; 2])>,
     /// Open hold spans keyed by (machine, job).
-    hold: HashMap<(usize, u64), u64>,
+    hold: IdHashMap<(usize, u64), u64>,
     /// Open yield-episode spans keyed by (machine, job).
-    yielding: HashMap<(usize, u64), u64>,
+    yielding: IdHashMap<(usize, u64), u64>,
+}
+
+/// Wall-clock instrumentation of a traced run, kept strictly outside the
+/// report so same-seed runs stay byte-identical.
+#[derive(Default)]
+struct Timing {
+    /// Phase timings (scheduler iterations, release sweeps, RPCs).
+    profiler: PhaseProfiler,
+    /// In-process RPC latency.
+    rpc_latency: Histogram,
 }
 
 /// The (job, mate) a span concerns when it concerns none.
@@ -328,20 +337,20 @@ pub struct CoupledSimulation<O: Observer = NoopObserver> {
     reachable: [bool; 2],
     /// Fault injection: jobs whose status reads back as `Unknown`
     /// ("the mate job fails alone").
-    unknown_status: HashSet<(usize, JobId)>,
+    unknown_status: IdHashSet<(usize, JobId)>,
     /// Rendezvous audit: jobs the peer started, keyed by `(machine, id)`;
     /// `true` for a hold anchor (`StartJob` on a held mate), `false` for
     /// `TryStartMate`.
-    peer_started: HashMap<(usize, JobId), bool>,
+    peer_started: IdHashMap<(usize, JobId), bool>,
     /// Fault injection: `GetMateStatus` calls to machine `m` time out, so
     /// the caller sees `MateStatus::Unknown` and starts normally.
     status_timeout: [bool; 2],
     /// Deterministic run counters (always on).
     stats: RunStats,
-    /// Wall-clock phase timings; never folded into the report.
-    profiler: PhaseProfiler,
-    /// Wall-clock in-process RPC latency; never folded into the report.
-    rpc_latency: Histogram,
+    /// Wall-clock instrumentation: present only under
+    /// [`CoupledSimulation::run_traced`], so [`CoupledSimulation::run`]
+    /// reads no clock.
+    timing: Option<Timing>,
     /// Causal-span bookkeeping; empty unless the observer is active.
     spans: SpanBook,
     observer: O,
@@ -395,12 +404,11 @@ impl<O: Observer> CoupledSimulation<O> {
             events: 0,
             forced_releases: 0,
             reachable: [true, true],
-            unknown_status: HashSet::new(),
-            peer_started: HashMap::new(),
+            unknown_status: IdHashSet::default(),
+            peer_started: IdHashMap::default(),
             status_timeout: [false, false],
             stats: RunStats::default(),
-            profiler: PhaseProfiler::new(),
-            rpc_latency: Histogram::new(),
+            timing: None,
             spans: SpanBook::default(),
             observer,
         }
@@ -455,14 +463,44 @@ impl<O: Observer> CoupledSimulation<O> {
         }
     }
 
-    /// Run to completion and build the report.
+    /// Run to completion and build the report. Reads no clock: the
+    /// wall-clock profile is only built by [`CoupledSimulation::run_traced`].
     pub fn run(self) -> SimulationReport {
-        self.run_traced().report
+        self.execute().0
     }
 
     /// Run to completion, returning the report together with the observer
-    /// (to read back an attached sink) and the wall-clock profile.
+    /// (to read back an attached sink) and the wall-clock profile. The
+    /// profile is filled whatever the observer, [`NoopObserver`] included.
     pub fn run_traced(mut self) -> RunArtifacts<O> {
+        self.timing = Some(Timing::default());
+        let (report, observer, timing) = self.execute();
+        let timing = timing.expect("timing was switched on above");
+        RunArtifacts {
+            report,
+            observer,
+            profile: timing.profiler.snapshot(),
+            rpc_latency_ns: timing.rpc_latency.snapshot("rpc.latency_ns"),
+        }
+    }
+
+    /// A wall-clock stamp, taken only while timing is on.
+    fn stamp(&self) -> Option<Instant> {
+        self.timing.as_ref().map(|_| Instant::now())
+    }
+
+    /// Charge the time since `t0` to `phase` (no-op when timing is off).
+    fn record(&mut self, phase: Phase, t0: Option<Instant>) {
+        if let (Some(timing), Some(t0)) = (self.timing.as_mut(), t0) {
+            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            timing.profiler.record(phase, nanos);
+            if phase == Phase::RpcCall {
+                timing.rpc_latency.record(nanos);
+            }
+        }
+    }
+
+    fn execute(mut self) -> (SimulationReport, O, Option<Timing>) {
         // Seed arrivals.
         for m in 0..2 {
             for idx in 0..self.jobs[m].len() {
@@ -501,7 +539,7 @@ impl<O: Observer> CoupledSimulation<O> {
                 self.iterate(m);
             }
             Event::ReleaseSweep { m } => {
-                let sweep_t0 = Instant::now();
+                let sweep_t0 = self.stamp();
                 match self.domains[m].sweep(now) {
                     Sweep::Idle => {}
                     Sweep::Rearmed(at) => {
@@ -525,8 +563,7 @@ impl<O: Observer> CoupledSimulation<O> {
                         self.forced_releases += released as u64;
                         self.stats.release_sweeps += 1;
                         SpanBook::close(&mut self.observer, t, m, sweep_span);
-                        self.profiler
-                            .record(Phase::ReleaseSweep, elapsed_ns(sweep_t0));
+                        self.record(Phase::ReleaseSweep, sweep_t0);
                         self.iterate(m);
                     }
                 }
@@ -537,7 +574,7 @@ impl<O: Observer> CoupledSimulation<O> {
     /// One scheduling iteration on machine `m`: drain ready candidates
     /// through Algorithm 1.
     fn iterate(&mut self, m: usize) {
-        let iter_t0 = Instant::now();
+        let iter_t0 = self.stamp();
         let (now, t) = (self.now, self.now.as_secs());
         let machine = self.domains[m].machine();
         self.observer
@@ -604,8 +641,7 @@ impl<O: Observer> CoupledSimulation<O> {
         if let Some(at) = self.domains[m].arm_sweep(now) {
             self.queue.push(at, Event::ReleaseSweep { m });
         }
-        self.profiler
-            .record(Phase::SchedulerIteration, elapsed_ns(iter_t0));
+        self.record(Phase::SchedulerIteration, iter_t0);
     }
 
     /// Issue one protocol request to machine `m` — the simulator's
@@ -618,7 +654,7 @@ impl<O: Observer> CoupledSimulation<O> {
         req: &Request,
         parent: u64,
     ) -> Result<Response, ProtoError> {
-        let rpc_t0 = Instant::now();
+        let rpc_t0 = self.stamp();
         let t = self.now.as_secs();
         let kind = req.trace_kind();
         self.stats.rpc_calls += 1;
@@ -633,9 +669,7 @@ impl<O: Observer> CoupledSimulation<O> {
             subject,
         );
         let result = self.deliver(m, req, rpc_span);
-        let nanos = elapsed_ns(rpc_t0);
-        self.rpc_latency.record(nanos);
-        self.profiler.record(Phase::RpcCall, nanos);
+        self.record(Phase::RpcCall, rpc_t0);
         if result.is_err() {
             self.stats.rpc_timeouts += 1;
             self.observer
@@ -686,7 +720,7 @@ impl<O: Observer> CoupledSimulation<O> {
         Ok(response)
     }
 
-    fn report(mut self, aborted: bool) -> RunArtifacts<O> {
+    fn report(mut self, aborted: bool) -> (SimulationReport, O, Option<Timing>) {
         let horizon = self.now;
         let unfinished =
             [0, 1].map(|m| self.jobs[m].len() - self.domains[m].machine().records().len());
@@ -704,7 +738,7 @@ impl<O: Observer> CoupledSimulation<O> {
             )
         });
         // Pair start offsets.
-        let mut starts: HashMap<(usize, JobId), SimTime> = HashMap::new();
+        let mut starts: IdHashMap<(usize, JobId), SimTime> = IdHashMap::default();
         for (m, recs) in records.iter().enumerate() {
             for r in recs {
                 starts.insert((m, r.id), r.start);
@@ -750,17 +784,8 @@ impl<O: Observer> CoupledSimulation<O> {
         report.metrics = build_metrics(&report);
         let mut observer = self.observer;
         observer.flush();
-        RunArtifacts {
-            report,
-            observer,
-            profile: self.profiler.snapshot(),
-            rpc_latency_ns: self.rpc_latency.snapshot("rpc.latency_ns"),
-        }
+        (report, observer, self.timing)
     }
-}
-
-fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The job a request concerns, for span records ([`NO_JOB`] for probes).
@@ -1052,7 +1077,7 @@ mod tests {
         assert!(plain.stats.rpc_calls > 0);
         assert_eq!(plain.metrics.counter("cosched.holds"), plain.stats.holds);
 
-        let kinds: HashSet<&str> = arts
+        let kinds: IdHashSet<&str> = arts
             .observer
             .sink()
             .records
@@ -1082,6 +1107,35 @@ mod tests {
             times.windows(2).all(|w| w[0] <= w[1]),
             "trace times out of order"
         );
+    }
+
+    /// `run_traced` fills the wall-clock profile whatever the observer:
+    /// the profile is what the traced entry point is asked for, so a
+    /// no-op observer must not switch it off.
+    #[test]
+    fn traced_run_profiles_every_phase_without_an_observer() {
+        // The deadlock scenario adds release sweeps to the pair scenario.
+        for (traces, sweeps) in [(paired_traces(), false), (deadlock_traces(), true)] {
+            let arts = CoupledSimulation::new(small_config(SchemeCombo::HH), traces).run_traced();
+            let calls = |phase: Phase| {
+                let name = phase.as_str();
+                arts.profile
+                    .iter()
+                    .find(|p| p.phase == name)
+                    .map_or(0, |p| p.calls)
+            };
+            let (stats, sched) = (&arts.report.stats, &arts.report.sched_stats);
+            assert!(sched[0].iterations + sched[1].iterations > 0);
+            assert_eq!(
+                calls(Phase::SchedulerIteration),
+                sched[0].iterations + sched[1].iterations
+            );
+            assert!(stats.rpc_calls > 0);
+            assert_eq!(calls(Phase::RpcCall), stats.rpc_calls);
+            assert_eq!(arts.rpc_latency_ns.count, stats.rpc_calls);
+            assert_eq!(calls(Phase::ReleaseSweep), stats.release_sweeps);
+            assert_eq!(stats.release_sweeps > 0, sweeps);
+        }
     }
 
     #[test]

@@ -31,9 +31,8 @@
 use crate::config::{CoschedConfig, Scheme};
 use cosched_metrics::{JobRecord, MachineSummary};
 use cosched_sched::{JobStatus, Machine, MachineConfig};
-use cosched_sim::{EventQueue, SimDuration, SimTime};
+use cosched_sim::{EventQueue, IdHashMap, IdHashSet, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, MachineId, MateRef, Trace};
-use std::collections::{HashMap, HashSet};
 
 /// Identifies a co-start group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,8 +41,8 @@ pub struct GroupId(pub u64);
 /// Registry of N-way co-start groups.
 #[derive(Debug, Clone, Default)]
 pub struct GroupRegistry {
-    member_of: HashMap<(MachineId, JobId), GroupId>,
-    groups: HashMap<GroupId, Vec<(MachineId, JobId)>>,
+    member_of: IdHashMap<(MachineId, JobId), GroupId>,
+    groups: IdHashMap<GroupId, Vec<(MachineId, JobId)>>,
 }
 
 impl GroupRegistry {
@@ -59,7 +58,7 @@ impl GroupRegistry {
     /// same machine, or a member already in another group.
     pub fn insert_group(&mut self, id: GroupId, members: Vec<(MachineId, JobId)>) {
         assert!(members.len() >= 2, "a group needs at least two members");
-        let mut machines = HashSet::new();
+        let mut machines = IdHashSet::default();
         for &(m, j) in &members {
             assert!(machines.insert(m), "group {id:?} has two members on {m}");
             let prev = self.member_of.insert((m, j), id);
@@ -96,7 +95,7 @@ impl GroupRegistry {
     /// # Panics
     /// Panics if a member is missing from its trace.
     pub fn stamp_rings(&self, traces: &mut [Trace]) {
-        let index: HashMap<MachineId, usize> = traces
+        let index: IdHashMap<MachineId, usize> = traces
             .iter()
             .enumerate()
             .map(|(i, t)| (t.machine(), i))
@@ -187,7 +186,7 @@ pub struct NwaySimulation {
     forced_releases: u64,
     sweep_armed: Vec<bool>,
     /// Machine-id → index.
-    index: HashMap<MachineId, usize>,
+    index: IdHashMap<MachineId, usize>,
 }
 
 impl NwaySimulation {
@@ -443,7 +442,7 @@ impl NwaySimulation {
             ));
             records.push(recs);
         }
-        let mut starts: HashMap<(MachineId, JobId), SimTime> = HashMap::new();
+        let mut starts: IdHashMap<(MachineId, JobId), SimTime> = IdHashMap::default();
         for (m, recs) in records.iter().enumerate() {
             for r in recs {
                 starts.insert((self.config.machines[m].machine, r.id), r.start);

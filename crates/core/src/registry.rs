@@ -6,13 +6,13 @@
 //! traces up front, which also lets it answer `get_mate_job` for jobs whose
 //! mate has not been submitted yet — the `unsubmitted` case of Algorithm 1.
 
+use cosched_sim::IdHashMap;
 use cosched_workload::{JobId, MachineId, MateRef, Trace};
-use std::collections::HashMap;
 
 /// Bidirectional mate lookup across the coupled system.
 #[derive(Debug, Clone, Default)]
 pub struct MateRegistry {
-    map: HashMap<(MachineId, JobId), MateRef>,
+    map: IdHashMap<(MachineId, JobId), MateRef>,
 }
 
 impl MateRegistry {
@@ -27,14 +27,11 @@ impl MateRegistry {
     /// Panics if any mate reference is dangling or asymmetric — corrupt
     /// pairing must not silently produce a meaningless experiment.
     pub fn from_traces(a: &Trace, b: &Trace) -> Self {
-        cosched_workload::pairing::validate_pairing(a, b)
-            .unwrap_or_else(|e| panic!("invalid pairing: {e}"));
-        let mut map = HashMap::new();
-        for trace in [a, b] {
-            for job in trace.jobs().iter().filter(|j| j.is_paired()) {
-                map.insert((trace.machine(), job.id), job.mate.expect("filtered"));
-            }
-        }
+        let mut map = IdHashMap::default();
+        cosched_workload::pairing::validate_pairing_with(a, b, |machine, job, mate| {
+            map.insert((machine, job), mate);
+        })
+        .unwrap_or_else(|e| panic!("invalid pairing: {e}"));
         MateRegistry { map }
     }
 

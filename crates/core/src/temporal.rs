@@ -24,9 +24,8 @@
 use crate::config::{CoschedConfig, Scheme};
 use cosched_metrics::{JobRecord, MachineSummary};
 use cosched_sched::{JobStatus, Machine, MachineConfig};
-use cosched_sim::{EventQueue, SimDuration, SimTime};
+use cosched_sim::{EventQueue, IdHashMap, IdHashSet, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, Trace};
-use std::collections::HashMap;
 
 /// A temporal relation between two jobs on opposite machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +134,9 @@ pub struct TemporalSimulation {
     /// job may anchor several `StartAfter` successors, but at most one
     /// *decision-driving* role (CoStart / StartWithin on either side, or
     /// being a StartAfter successor).
-    by_job: HashMap<(usize, JobId), Vec<usize>>,
+    by_job: IdHashMap<(usize, JobId), Vec<usize>>,
     /// Successors gated by an unstarted predecessor: b-job → trace index.
-    gated: HashMap<JobId, usize>,
+    gated: IdHashMap<JobId, usize>,
     queue: EventQueue<Event>,
     now: SimTime,
     events: u64,
@@ -158,9 +157,8 @@ impl TemporalSimulation {
         traces: [Trace; 2],
         constraints: Vec<ConstraintInstance>,
     ) -> Self {
-        let mut by_job: HashMap<(usize, JobId), Vec<usize>> = HashMap::new();
-        let mut driving: std::collections::HashSet<(usize, JobId)> =
-            std::collections::HashSet::new();
+        let mut by_job: IdHashMap<(usize, JobId), Vec<usize>> = IdHashMap::default();
+        let mut driving: IdHashSet<(usize, JobId)> = IdHashSet::default();
         for (i, c) in constraints.iter().enumerate() {
             assert!(
                 traces[0].get(c.a).is_some(),
@@ -204,7 +202,7 @@ impl TemporalSimulation {
             jobs: [ta.into_jobs(), tb.into_jobs()],
             constraints,
             by_job,
-            gated: HashMap::new(),
+            gated: IdHashMap::default(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             events: 0,
@@ -518,7 +516,7 @@ impl TemporalSimulation {
                 held[1],
             ),
         ];
-        let starts: [HashMap<JobId, SimTime>; 2] = [
+        let starts: [IdHashMap<JobId, SimTime>; 2] = [
             records[0].iter().map(|r| (r.id, r.start)).collect(),
             records[1].iter().map(|r| (r.id, r.start)).collect(),
         ];

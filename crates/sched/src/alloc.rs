@@ -18,8 +18,8 @@
 //! allocation bug should stop the simulation, not corrupt utilization
 //! accounting.
 
+use cosched_sim::IdHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Opaque token representing one live allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +82,7 @@ pub trait NodeAllocator: Send {
 pub struct FlatAllocator {
     capacity: u64,
     free: u64,
-    live: HashMap<u64, u64>, // handle id → size
+    live: IdHashMap<u64, u64>, // handle id → size
     next_id: u64,
 }
 
@@ -93,7 +93,7 @@ impl FlatAllocator {
         FlatAllocator {
             capacity,
             free: capacity,
-            live: HashMap::new(),
+            live: IdHashMap::default(),
             next_id: 0,
         }
     }
@@ -150,7 +150,7 @@ pub struct BuddyAllocator {
     /// deterministic (lowest address first).
     free_blocks: Vec<Vec<u64>>,
     /// handle id → (order, block index)
-    live: HashMap<u64, (u32, u64)>,
+    live: IdHashMap<u64, (u32, u64)>,
     next_id: u64,
     free_units: u64,
     /// Bit `k` set ⇔ `free_blocks[k]` is non-empty. Lets [`Self::can_fit`]
@@ -178,7 +178,7 @@ impl BuddyAllocator {
             unit,
             max_order,
             free_blocks: vec![Vec::new(); (max_order + 1) as usize],
-            live: HashMap::new(),
+            live: IdHashMap::default(),
             next_id: 0,
             free_units: padded,
             order_mask: 0,

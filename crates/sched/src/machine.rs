@@ -31,10 +31,9 @@ use crate::policy::{order_jobs_into, OrderScratch, PolicyKind, QueuedView};
 use crate::predict::{PredictorKind, WalltimePredictor};
 use cosched_metrics::JobRecord;
 use cosched_obs::trace::{AllocFailReason, TraceEvent};
-use cosched_sim::{SimDuration, SimTime};
+use cosched_sim::{IdHashMap, IdHashSet, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, MachineId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Static machine description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -190,16 +189,16 @@ struct ReleaseEntry {
 pub struct Machine {
     config: MachineConfig,
     allocator: Box<dyn NodeAllocator>,
-    states: HashMap<JobId, JobState>,
+    states: IdHashMap<JobId, JobState>,
     queued: Vec<JobId>,
     held: Vec<JobId>,
     running: Vec<JobId>,
     finished: Vec<JobRecord>,
-    skip: HashSet<JobId>,
+    skip: IdHashSet<JobId>,
     pending: Option<JobId>,
     held_ledger: u64,
     predictor: Box<dyn WalltimePredictor>,
-    predictions: HashMap<JobId, SimDuration>,
+    predictions: IdHashMap<JobId, SimDuration>,
     /// Projected releases of running jobs, kept sorted by `(end, nodes)`:
     /// inserted when a job starts, removed when it finishes, walked in
     /// place by [`Machine::shadow_for`] instead of rebuilding and sorting
@@ -240,16 +239,16 @@ impl Machine {
         Machine {
             config,
             allocator,
-            states: HashMap::new(),
+            states: IdHashMap::default(),
             queued: Vec::new(),
             held: Vec::new(),
             running: Vec::new(),
             finished: Vec::new(),
-            skip: HashSet::new(),
+            skip: IdHashSet::default(),
             pending: None,
             held_ledger: 0,
             predictor,
-            predictions: HashMap::new(),
+            predictions: IdHashMap::default(),
             releases: Vec::new(),
             shadow_scratch: Vec::new(),
             order_scratch: OrderScratch::new(),

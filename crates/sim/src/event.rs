@@ -8,9 +8,10 @@
 //! the standard DES technique for timers that are usually rescheduled (the
 //! hold-release timers of the deadlock breaker are exactly that shape).
 
+use crate::idhash::IdHashSet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Opaque handle identifying a scheduled event, usable to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -68,7 +69,7 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     /// Sequence numbers of events that are in the heap and not cancelled.
     /// Membership here is the source of truth for "pending".
-    pending: HashSet<u64>,
+    pending: IdHashSet<u64>,
     next_seq: u64,
     high_water: usize,
     cancelled: u64,
@@ -85,7 +86,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
+            pending: IdHashSet::default(),
             next_seq: 0,
             high_water: 0,
             cancelled: 0,

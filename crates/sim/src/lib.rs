@@ -9,6 +9,8 @@
 //!   deterministic FIFO tie-breaking,
 //! * [`Engine`] — a small driver that pops events and dispatches them to an
 //!   [`EventHandler`],
+//! * [`IdHashMap`] / [`IdHashSet`] — maps and sets keyed by integer ids,
+//!   hashed with a deterministic multiply hasher instead of SipHash,
 //! * [`rng`] — seedable, reproducible random-number plumbing,
 //! * [`dist`] — the statistical distributions used by the workload
 //!   generators (exponential, log-normal, Weibull, discrete histogram).
@@ -20,10 +22,12 @@
 pub mod dist;
 pub mod engine;
 pub mod event;
+pub mod idhash;
 pub mod rng;
 pub mod time;
 
 pub use engine::{Engine, EventHandler, StepOutcome};
 pub use event::{EventId, EventQueue, ScheduledEvent};
+pub use idhash::{IdHashMap, IdHashSet};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime, DAY, HOUR, MINUTE, SECOND};

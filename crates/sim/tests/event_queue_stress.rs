@@ -14,9 +14,9 @@
 //!   when it was lazily left inside the heap;
 //! * counters (`len`, `cancelled`) agree with the model at every step.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use cosched_sim::{EventQueue, SimTime};
+use cosched_sim::{EventQueue, IdHashMap, SimTime};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -51,7 +51,7 @@ proptest! {
         // ever returned by push to its time, popped or not.
         let mut pending: BTreeSet<(SimTime, u64)> = BTreeSet::new();
         let mut issued: Vec<(u64, SimTime)> = Vec::new();
-        let mut times: HashMap<u64, SimTime> = HashMap::new();
+        let mut times: IdHashMap<u64, SimTime> = IdHashMap::default();
         let mut ids = Vec::new();
         let mut model_cancelled = 0u64;
 

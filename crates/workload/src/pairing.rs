@@ -14,12 +14,12 @@
 //!   and aligns each mate's submission within the window.
 //!
 //! Pairing is always *mutual*: if `a` references `b` then `b` references
-//! `a`. [`validate_pairing`] checks that invariant and is used by the
-//! property tests.
+//! `a`. [`validate_pairing`] checks that invariant; the mate registry runs
+//! it (as [`validate_pairing_with`]) in every coupled simulation's setup.
 
-use crate::job::MateRef;
+use crate::job::{Job, JobId, MachineId, MateRef};
 use crate::trace::Trace;
-use cosched_sim::{SimDuration, SimRng};
+use cosched_sim::{IdHashMap, SimDuration, SimRng};
 
 /// Greedily associate unpaired jobs whose submissions fall within `window`
 /// of each other, one-to-one and in submission order. Returns the number of
@@ -191,7 +191,28 @@ fn apply_pairs(a: &mut Trace, b: &mut Trace, pairs: &[(crate::job::JobId, crate:
 /// Verify that every mate reference resolves to a job on the other trace and
 /// that pairing is mutual and one-to-one.
 pub fn validate_pairing(a: &Trace, b: &Trace) -> Result<(), String> {
-    for (x, y) in [(a, b), (b, a)] {
+    validate_pairing_with(a, b, |_, _, _| {})
+}
+
+/// [`validate_pairing`], handing each paired job's `(machine, id, mate)` to
+/// `visit` once it checks out — so a caller that indexes the pairs (the
+/// mate registry) builds its index in the validating pass. Runs in time
+/// linear in the traces: each trace's ids are indexed once.
+pub fn validate_pairing_with(
+    a: &Trace,
+    b: &Trace,
+    mut visit: impl FnMut(MachineId, JobId, MateRef),
+) -> Result<(), String> {
+    // First occurrence wins, as with `Trace::get`.
+    let index = [a, b].map(|t| {
+        let mut ids: IdHashMap<JobId, &Job> = IdHashMap::default();
+        ids.reserve(t.len());
+        for j in t.jobs() {
+            ids.entry(j.id).or_insert(j);
+        }
+        ids
+    });
+    for (x, y, y_ids) in [(a, b, &index[1]), (b, a, &index[0])] {
         for j in x.jobs().iter().filter(|j| j.is_paired()) {
             let m = j.mate.expect("filtered to paired");
             if m.machine != y.machine() {
@@ -202,7 +223,7 @@ pub fn validate_pairing(a: &Trace, b: &Trace) -> Result<(), String> {
                     m.machine
                 ));
             }
-            let Some(mate) = y.get(m.job) else {
+            let Some(mate) = y_ids.get(&m.job) else {
                 return Err(format!(
                     "{}/{} points at missing job {}",
                     x.machine(),
@@ -222,6 +243,7 @@ pub fn validate_pairing(a: &Trace, b: &Trace) -> Result<(), String> {
                     mate.id
                 ));
             }
+            visit(x.machine(), j.id, m);
         }
     }
     Ok(())

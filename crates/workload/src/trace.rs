@@ -82,8 +82,9 @@ impl Trace {
         self.jobs.is_empty()
     }
 
-    /// Look up a job by id (linear; traces are replayed, not queried, in the
-    /// hot path).
+    /// Look up a job by id: a linear scan, for tests and tools. Code that
+    /// looks up many ids indexes the trace once instead (as
+    /// [`crate::pairing::validate_pairing`] does).
     pub fn get(&self, id: JobId) -> Option<&Job> {
         self.jobs.iter().find(|j| j.id == id)
     }
