@@ -189,11 +189,20 @@ pub struct SeedOutcome {
 /// Run one seed of a case: the independent cell the campaign parallelises
 /// over.
 pub fn run_seed(combo: Option<SchemeCombo>, traces: [Trace; 2]) -> SeedOutcome {
+    run_seed_with_report(combo, traces).0
+}
+
+/// [`run_seed`], also returning the full report the outcome was taken from
+/// (event counts and the like, which the outcome does not carry).
+pub fn run_seed_with_report(
+    combo: Option<SchemeCombo>,
+    traces: [Trace; 2],
+) -> (SeedOutcome, SimulationReport) {
     let total_jobs = traces[0].len() + traces[1].len();
     let paired = traces[0].paired_count() + traces[1].paired_count();
     let paired_share = paired as f64 / total_jobs.max(1) as f64;
     let report = run_one(combo, traces);
-    SeedOutcome {
+    let outcome = SeedOutcome {
         intrepid: report.summaries[0].clone(),
         eureka: report.summaries[1].clone(),
         sync_ok: report.all_pairs_synchronized(),
@@ -205,7 +214,8 @@ pub fn run_seed(combo: Option<SchemeCombo>, traces: [Trace; 2]) -> SeedOutcome {
             report.rendezvous.direct,
             report.rendezvous.independent,
         ),
-    }
+    };
+    (outcome, report)
 }
 
 /// Fold per-seed outcomes (in seed order) into a [`CaseResult`]. The fold

@@ -1,25 +1,36 @@
-//! Regenerate the golden trace fixtures under `tests/fixtures/`:
-//! `hy_seed13.jsonl` and `hh_sweep.jsonl`.
+//! Regenerate the golden fixtures under `tests/fixtures/`: the trace
+//! fixtures `hy_seed13.jsonl` and `hh_sweep.jsonl`, and the campaign golden
+//! `campaign_smoke.jsonl`.
 //!
-//! Run after an *intentional* trace-schema change:
+//! Run after an *intentional* trace-schema or behaviour change:
 //!
 //! ```text
 //! cargo run --example regen_fixture
 //! ```
 //!
-//! The runs are defined once in `tests/support/golden.rs`, which
+//! The trace runs are defined once in `tests/support/golden.rs`, which
 //! `tests/trace_analysis.rs` also uses to assert that the committed files
-//! match a regenerated run byte for byte.
+//! match a regenerated run byte for byte. The campaign lines come from
+//! `tests/support/campaign_golden.rs`, which `tests/campaign_golden.rs`
+//! checks the same way.
 
 use coupled_cosched::obs::write_trace_string;
 
 #[path = "../tests/support/golden.rs"]
 mod golden;
 
+#[path = "../tests/support/campaign_golden.rs"]
+mod campaign_golden;
+
 fn main() {
+    let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
     for (name, records) in golden::fixtures() {
-        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let path = format!("{dir}/{name}");
         std::fs::write(&path, write_trace_string(&records)).expect("write fixture");
         println!("wrote {} records to {path}", records.len());
     }
+    let lines = campaign_golden::lines();
+    let path = format!("{dir}/{}", campaign_golden::FILE);
+    std::fs::write(&path, lines.join("\n") + "\n").expect("write campaign golden");
+    println!("wrote {} campaign cells to {path}", lines.len());
 }
