@@ -416,7 +416,7 @@ impl Domain {
             return false;
         }
         let free = m.free_nodes();
-        m.queued_jobs().iter().any(|&id| {
+        m.queued_jobs().any(|id| {
             let size = m.job(id).map_or(0, |j| j.size);
             // Blocked now (by count or by fragmentation) but feasible once
             // the held nodes come back.

@@ -374,7 +374,7 @@ impl NwaySimulation {
         let held = self.machines[m].held_nodes();
         let free = self.machines[m].free_nodes();
         let blocked = held > 0
-            && self.machines[m].queued_jobs().iter().any(|&id| {
+            && self.machines[m].queued_jobs().any(|id| {
                 let size = self.machines[m].job(id).map_or(0, |j| j.size);
                 size <= free + held && !self.machines[m].can_fit(size)
             });

@@ -31,7 +31,7 @@ use crate::policy::{order_jobs_into, OrderScratch, PolicyKind, QueuedView};
 use crate::predict::{PredictorKind, WalltimePredictor};
 use cosched_metrics::JobRecord;
 use cosched_obs::trace::{AllocFailReason, TraceEvent};
-use cosched_sim::{IdHashMap, IdHashSet, SimDuration, SimTime};
+use cosched_sim::{IdHashMap, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, MachineId};
 use serde::{Deserialize, Serialize};
 
@@ -159,6 +159,10 @@ pub struct SchedStats {
 #[derive(Debug)]
 struct JobState {
     job: Job,
+    /// Planning-time runtime estimate: the predictor's output at submit,
+    /// fixed for the job's life. A job always runs its true runtime;
+    /// planning optimism is acceptable, as in real predictive backfilling.
+    planned: SimDuration,
     first_ready: Option<SimTime>,
     yields: u32,
     holds: u32,
@@ -185,20 +189,28 @@ struct ReleaseEntry {
     job: JobId,
 }
 
+/// A job's index into [`Machine`]'s dense job table, assigned at submit.
+type Slot = u32;
+
 /// The resource manager for one scheduling domain.
 pub struct Machine {
     config: MachineConfig,
     allocator: Box<dyn NodeAllocator>,
-    states: IdHashMap<JobId, JobState>,
-    queued: Vec<JobId>,
+    /// Every submitted job's state, indexed by its slot: the order of
+    /// submission. Ordering and the pick walk index it directly.
+    states: Vec<JobState>,
+    /// Slot of each submitted job, for the public [`JobId`] API.
+    slots: IdHashMap<JobId, Slot>,
+    queued: Vec<Slot>,
     held: Vec<JobId>,
+    /// Allocator-charged nodes of the held jobs, kept by
+    /// `hold`/`start_held`/`release_held`.
+    held_nodes: u64,
     running: Vec<JobId>,
     finished: Vec<JobRecord>,
-    skip: IdHashSet<JobId>,
-    pending: Option<JobId>,
+    pending: Option<Slot>,
     held_ledger: u64,
     predictor: Box<dyn WalltimePredictor>,
-    predictions: IdHashMap<JobId, SimDuration>,
     /// Projected releases of running jobs, kept sorted by `(end, nodes)`:
     /// inserted when a job starts, removed when it finishes, walked in
     /// place by [`Machine::shadow_for`] instead of rebuilding and sorting
@@ -212,13 +224,15 @@ pub struct Machine {
     /// Policy order computed lazily once per iteration (scores are fixed
     /// within an iteration because `now` is fixed); the buffer is reused
     /// across iterations, `iter_order_valid` gates staleness.
-    iter_order: Vec<JobId>,
+    iter_order: Vec<Slot>,
     iter_order_valid: bool,
     /// Walk position in `iter_order`. A cursor is semantically equivalent
     /// to rescanning from the top: a yield returns exactly the nodes it
     /// took for this pick, so a job that was blocked earlier in the walk
     /// can never newly fit later in the same iteration — and it turns the
-    /// iteration from O(picks × q log q) into O(q log q).
+    /// iteration from O(picks × q log q) into O(q log q). It also never
+    /// revisits a job: a yielded job's slot is behind the cursor, so the
+    /// job is skipped for the rest of the iteration.
     iter_cursor: usize,
     /// Head-job reservation discovered during this iteration's walk.
     iter_shadow: Option<Shadow>,
@@ -239,16 +253,16 @@ impl Machine {
         Machine {
             config,
             allocator,
-            states: IdHashMap::default(),
+            states: Vec::new(),
+            slots: IdHashMap::default(),
             queued: Vec::new(),
             held: Vec::new(),
+            held_nodes: 0,
             running: Vec::new(),
             finished: Vec::new(),
-            skip: IdHashSet::default(),
             pending: None,
             held_ledger: 0,
             predictor,
-            predictions: IdHashMap::default(),
             releases: Vec::new(),
             shadow_scratch: Vec::new(),
             order_scratch: OrderScratch::new(),
@@ -284,6 +298,24 @@ impl Machine {
         &self.config
     }
 
+    /// Make room for `jobs` more submissions (and their records) without
+    /// reallocating.
+    pub fn reserve(&mut self, jobs: usize) {
+        self.states.reserve(jobs);
+        self.slots.reserve(jobs);
+        self.finished.reserve(jobs);
+    }
+
+    /// The slot of submitted job `id`.
+    fn slot(&self, id: JobId) -> Option<usize> {
+        self.slots.get(&id).map(|&s| s as usize)
+    }
+
+    /// The state of submitted job `id`.
+    fn state(&self, id: JobId) -> Option<&JobState> {
+        self.slot(id).map(|s| &self.states[s])
+    }
+
     /// Enqueue a job at `now`.
     ///
     /// # Panics
@@ -300,37 +332,34 @@ impl Machine {
             job.id
         );
         let id = job.id;
-        let predicted = self.predictor.predict(&job);
-        self.predictions.insert(id, predicted);
-        let prev = self.states.insert(
-            id,
-            JobState {
-                job,
-                first_ready: None,
-                yields: 0,
-                holds: 0,
-                start: None,
-                alloc: None,
-                charged: 0,
-                hold_since: None,
-                demoted_at: None,
-                projected_end: None,
-                status: JobStatus::Queued,
-            },
-        );
+        let slot = Slot::try_from(self.states.len()).expect("job table overflow");
+        let prev = self.slots.insert(id, slot);
         assert!(prev.is_none(), "duplicate submission of job {id}");
-        self.queued.push(id);
+        self.states.push(JobState {
+            planned: self.predictor.predict(&job),
+            job,
+            first_ready: None,
+            yields: 0,
+            holds: 0,
+            start: None,
+            alloc: None,
+            charged: 0,
+            hold_since: None,
+            demoted_at: None,
+            projected_end: None,
+            status: JobStatus::Queued,
+        });
+        self.queued.push(slot);
     }
 
-    /// Begin a scheduling iteration: clears the per-iteration yield skip
-    /// set.
+    /// Begin a scheduling iteration: the policy order is rebuilt at the
+    /// next pick.
     pub fn begin_iteration(&mut self) {
         assert!(
             self.pending.is_none(),
             "iteration started with a candidate outstanding"
         );
         self.stats.iterations += 1;
-        self.skip.clear();
         self.iter_order_valid = false;
         self.iter_cursor = 0;
         self.iter_shadow = None;
@@ -348,8 +377,8 @@ impl Machine {
             order_jobs_into(
                 self.config.policy,
                 now,
-                self.queued.iter().map(|id| {
-                    let st = &self.states[id];
+                self.queued.iter().map(|&slot| {
+                    let st = &self.states[slot as usize];
                     (
                         &st.job,
                         st.yields as f64 * boost,
@@ -367,15 +396,13 @@ impl Machine {
             self.iter_shadow = None;
         }
         while self.iter_cursor < self.iter_order.len() {
-            let id = self.iter_order[self.iter_cursor];
+            let slot = self.iter_order[self.iter_cursor];
             self.iter_cursor += 1;
-            if self.skip.contains(&id)
-                || self.states.get(&id).map(|st| st.status) != Some(JobStatus::Queued)
-            {
+            let st = &self.states[slot as usize];
+            if st.status != JobStatus::Queued {
                 continue;
             }
-            let size = self.states[&id].job.size;
-            let planned = self.planned_runtime(id);
+            let (id, size, planned) = (st.job.id, st.job.size, st.planned);
             let fits = self.allocator.can_fit(size);
             let admitted = match self.iter_shadow {
                 None => fits,
@@ -391,13 +418,14 @@ impl Machine {
                     .alloc(size)
                     .expect("can_fit implies alloc succeeds");
                 let charged = self.allocator.charged_nodes(size);
-                let st = self.states.get_mut(&id).expect("queued job has state");
+                let st = &mut self.states[slot as usize];
                 st.alloc = Some(handle);
                 st.charged = charged;
                 st.first_ready.get_or_insert(now);
-                let pos = self.queued.iter().position(|&q| q == id).expect("queued");
+                let paired = st.job.mate.is_some();
+                let pos = self.queued.iter().position(|&q| q == slot).expect("queued");
                 self.queued.remove(pos);
-                self.pending = Some(id);
+                self.pending = Some(slot);
                 self.stats.picks += 1;
                 if via_backfill {
                     self.stats.backfill_hits += 1;
@@ -411,7 +439,7 @@ impl Machine {
                     size,
                     charged,
                     via_backfill,
-                    paired: self.states[&id].job.mate.is_some(),
+                    paired,
                 });
             }
             if !fits {
@@ -442,25 +470,15 @@ impl Machine {
         None
     }
 
-    /// Planning-time runtime estimate for queued job `id`: the predictor's
-    /// output, capped below by nothing (a job always runs its true runtime;
-    /// planning optimism is acceptable, as in real predictive backfilling).
-    fn planned_runtime(&self, id: JobId) -> SimDuration {
-        self.predictions
-            .get(&id)
-            .copied()
-            .unwrap_or_else(|| self.states[&id].job.walltime)
-    }
-
     /// The queued job a scheduling iteration at `now` would consider first
     /// — the unique minimum under the policy comparator (demotion, then
     /// descending score, then `(submit, id)`). One O(n) scan; equivalent to
     /// sorting and taking the front, without materialising the order.
-    fn policy_head(&self, now: SimTime) -> Option<JobId> {
+    fn policy_head(&self, now: SimTime) -> Option<usize> {
         let boost = self.config.yield_priority_boost;
-        let mut best: Option<(bool, f64, SimTime, JobId)> = None;
-        for id in &self.queued {
-            let st = &self.states[id];
+        let mut best: Option<(bool, f64, SimTime, JobId, usize)> = None;
+        for &slot in &self.queued {
+            let st = &self.states[slot as usize];
             let key = (
                 st.demoted_at == Some(now),
                 self.config.policy.score(QueuedView {
@@ -470,6 +488,7 @@ impl Machine {
                 }),
                 st.job.submit,
                 st.job.id,
+                slot as usize,
             );
             let better = match &best {
                 None => true,
@@ -486,7 +505,7 @@ impl Machine {
                 best = Some(key);
             }
         }
-        best.map(|b| b.3)
+        best.map(|b| b.4)
     }
 
     fn shadow_for(&mut self, head_id: JobId, head_size: u64, now: SimTime) -> Shadow {
@@ -593,25 +612,23 @@ impl Machine {
         self.releases.remove(from + off);
     }
 
-    fn commit_check(&mut self, cand: &Candidate) {
-        assert_eq!(
-            self.pending,
-            Some(cand.job_id),
+    /// Clear the outstanding candidate and return its slot.
+    fn commit_check(&mut self, cand: &Candidate) -> usize {
+        let slot = self.pending.take().map(|s| s as usize);
+        assert!(
+            slot.is_some_and(|s| self.states[s].job.id == cand.job_id),
             "commit of a stale candidate {:?}",
             cand.job_id
         );
-        self.pending = None;
+        slot.expect("checked above")
     }
 
     /// Start a ready candidate now. Returns the completion instant for the
     /// caller to schedule the end event.
     pub fn start(&mut self, cand: Candidate, now: SimTime) -> SimTime {
-        self.commit_check(&cand);
-        let projected = now + self.planned_runtime(cand.job_id);
-        let st = self
-            .states
-            .get_mut(&cand.job_id)
-            .expect("candidate has state");
+        let slot = self.commit_check(&cand);
+        let st = &mut self.states[slot];
+        let projected = now + st.planned;
         st.start = Some(now);
         st.status = JobStatus::Running;
         st.projected_end = Some(projected);
@@ -626,32 +643,27 @@ impl Machine {
     /// those nodes, until [`Machine::start_held`] or
     /// [`Machine::release_held`].
     pub fn hold(&mut self, cand: Candidate, now: SimTime) {
-        self.commit_check(&cand);
-        let st = self
-            .states
-            .get_mut(&cand.job_id)
-            .expect("candidate has state");
+        let slot = self.commit_check(&cand);
+        let st = &mut self.states[slot];
         st.holds += 1;
         st.hold_since = Some(now);
         st.status = JobStatus::Held;
+        self.held_nodes += st.charged;
         self.held.push(cand.job_id);
     }
 
-    /// Yield a ready candidate: release its nodes, requeue it, and skip it
-    /// for the remainder of this iteration so other jobs get a chance.
+    /// Yield a ready candidate: release its nodes and requeue it. The
+    /// iteration's walk has passed it, so other jobs get the chance for the
+    /// remainder of this iteration.
     pub fn yield_job(&mut self, cand: Candidate, _now: SimTime) {
-        self.commit_check(&cand);
-        let st = self
-            .states
-            .get_mut(&cand.job_id)
-            .expect("candidate has state");
+        let slot = self.commit_check(&cand);
+        let st = &mut self.states[slot];
         let handle = st.alloc.take().expect("candidate holds an allocation");
         st.charged = 0;
         st.yields += 1;
         st.status = JobStatus::Queued;
         self.allocator.release(handle);
-        self.skip.insert(cand.job_id);
-        self.queued.push(cand.job_id);
+        self.queued.push(slot as Slot);
     }
 
     /// Start a held job in place (its mate became ready). Returns the
@@ -659,10 +671,12 @@ impl Machine {
     pub fn start_held(&mut self, id: JobId, now: SimTime) -> Option<SimTime> {
         let pos = self.held.iter().position(|&h| h == id)?;
         self.held.remove(pos);
-        let projected = now + self.planned_runtime(id);
-        let st = self.states.get_mut(&id).expect("held job has state");
+        let slot = self.slot(id).expect("held job has state");
+        let st = &mut self.states[slot];
+        let projected = now + st.planned;
         let since = st.hold_since.take().expect("held job has hold_since");
         self.held_ledger += st.charged * (now - since).as_secs();
+        self.held_nodes -= st.charged;
         st.start = Some(now);
         st.status = JobStatus::Running;
         st.projected_end = Some(projected);
@@ -682,15 +696,17 @@ impl Machine {
             return false;
         };
         self.held.remove(pos);
-        let st = self.states.get_mut(&id).expect("held job has state");
+        let slot = self.slot(id).expect("held job has state");
+        let st = &mut self.states[slot];
         let since = st.hold_since.take().expect("held job has hold_since");
         self.held_ledger += st.charged * (now - since).as_secs();
+        self.held_nodes -= st.charged;
         let handle = st.alloc.take().expect("held job holds an allocation");
         st.charged = 0;
         st.demoted_at = Some(now);
         st.status = JobStatus::Queued;
         self.allocator.release(handle);
-        self.queued.push(id);
+        self.queued.push(slot as Slot);
         true
     }
 
@@ -703,11 +719,11 @@ impl Machine {
     /// admission rule backfilling applies). Returns the completion instant
     /// on success.
     pub fn try_start_direct(&mut self, id: JobId, now: SimTime) -> Option<SimTime> {
-        let pos = self.queued.iter().position(|&q| q == id)?;
-        let handle = self.admit_direct(id, now)?;
-        let charged = self.allocator.charged_nodes(self.states[&id].job.size);
-        let projected = now + self.planned_runtime(id);
-        let st = self.states.get_mut(&id).expect("queued job has state");
+        let slot = self.slot(id)?;
+        let handle = self.admit_direct(slot, now)?;
+        let st = &mut self.states[slot];
+        let charged = self.allocator.charged_nodes(st.job.size);
+        let projected = now + st.planned;
         st.alloc = Some(handle);
         st.charged = charged;
         st.first_ready.get_or_insert(now);
@@ -715,7 +731,8 @@ impl Machine {
         st.status = JobStatus::Running;
         st.projected_end = Some(projected);
         let end = now + st.job.runtime;
-        self.queued.remove(pos);
+        let pos = self.queued.iter().position(|&q| q as usize == slot);
+        self.queued.remove(pos.expect("admitted job is queued"));
         self.running.push(id);
         self.insert_release(id, projected, charged);
         Some(end)
@@ -727,7 +744,7 @@ impl Machine {
     /// partition admission needs a trial allocation, which is immediately
     /// released.)
     pub fn can_start_direct(&mut self, id: JobId, now: SimTime) -> bool {
-        match self.admit_direct(id, now) {
+        match self.slot(id).and_then(|slot| self.admit_direct(slot, now)) {
             Some(handle) => {
                 self.allocator.release(handle);
                 true
@@ -737,30 +754,35 @@ impl Machine {
     }
 
     /// Shared admission logic: allocate nodes for a direct (out-of-
-    /// iteration) start of queued job `id` if a regular scheduling
+    /// iteration) start of the queued job in `slot` if a regular scheduling
     /// iteration could have started it. Returns the allocation on success;
     /// the caller either commits it or releases it.
-    fn admit_direct(&mut self, id: JobId, now: SimTime) -> Option<AllocHandle> {
+    fn admit_direct(&mut self, slot: usize, now: SimTime) -> Option<AllocHandle> {
         if self.pending.is_some() {
             // Mid-iteration re-entrance cannot happen in the simulator (the
             // driver serialises RPCs between pick/commit), but guard anyway.
             return None;
         }
-        self.queued.iter().position(|&q| q == id)?;
-        let size = self.states[&id].job.size;
+        // With no candidate outstanding, exactly the `Queued` jobs are in
+        // the queue.
+        let st = &self.states[slot];
+        if st.status != JobStatus::Queued {
+            return None;
+        }
+        let (size, planned) = (st.job.size, st.planned);
         if !self.allocator.can_fit(size) {
             return None;
         }
         // Identify the policy head among queued jobs.
         let head = self.policy_head(now).expect("queue holds at least `id`");
 
-        let handle = if head == id {
+        let handle = if head == slot {
             self.allocator.alloc(size).expect("can_fit implies alloc")
         } else {
             if !self.config.backfill {
                 return None;
             }
-            let head_size = self.states[&head].job.size;
+            let (head_id, head_size) = (self.states[head].job.id, self.states[head].job.size);
             if self.allocator.can_fit(head_size) {
                 // The head could start right now; the mate may slip in only
                 // if the head remains startable afterwards.
@@ -774,8 +796,7 @@ impl Machine {
             } else {
                 // Head is blocked: honour its reservation like any
                 // backfill candidate.
-                let shadow = self.shadow_for(head, head_size, now);
-                let planned = self.planned_runtime(id);
+                let shadow = self.shadow_for(head_id, head_size, now);
                 if !shadow.admits(self.allocator.charged_nodes(size), now + planned) {
                     return None;
                 }
@@ -798,7 +819,8 @@ impl Machine {
             .position(|&r| r == id)
             .unwrap_or_else(|| panic!("finish of non-running job {id}"));
         self.running.remove(pos);
-        let st = self.states.get_mut(&id).expect("running job has state");
+        let slot = self.slot(id).expect("running job has state");
+        let st = &mut self.states[slot];
         let handle = st.alloc.take().expect("running job holds an allocation");
         self.allocator.release(handle);
         st.status = JobStatus::Finished;
@@ -809,9 +831,6 @@ impl Machine {
             .expect("running job has a projected end");
         let nodes = st.charged;
         self.predictor.observe(&st.job, st.job.runtime);
-        self.predictions.remove(&id);
-        self.remove_release(id, projected, nodes);
-        let st = self.states.get_mut(&id).expect("running job has state");
         self.finished.push(JobRecord {
             id,
             machine: self.config.machine,
@@ -826,35 +845,35 @@ impl Machine {
             yields: st.yields,
             holds: st.holds,
         });
+        self.remove_release(id, projected, nodes);
     }
 
     /// Lifecycle stage of `id` as seen by the protocol.
     pub fn status(&self, id: JobId) -> JobStatus {
-        self.states
-            .get(&id)
+        self.state(id)
             .map_or(JobStatus::Unsubmitted, |st| st.status)
     }
 
     /// The job object, if submitted here.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.states.get(&id).map(|st| &st.job)
+        self.state(id).map(|st| &st.job)
     }
 
     /// Number of yields job `id` has performed so far.
     pub fn yields_of(&self, id: JobId) -> u32 {
-        self.states.get(&id).map_or(0, |st| st.yields)
+        self.state(id).map_or(0, |st| st.yields)
     }
 
     /// When job `id` started, if it has (running or finished).
     pub fn start_of(&self, id: JobId) -> Option<SimTime> {
-        self.states.get(&id).and_then(|st| st.start)
+        self.state(id).and_then(|st| st.start)
     }
 
     /// When job `id` entered its current hold episode, if it is held.
     /// Drivers use this to discard stale hold-release timers: a timer armed
     /// for an earlier episode no longer matches.
     pub fn hold_since(&self, id: JobId) -> Option<SimTime> {
-        self.states.get(&id).and_then(|st| st.hold_since)
+        self.state(id).and_then(|st| st.hold_since)
     }
 
     /// Currently held job ids, in hold order.
@@ -864,8 +883,10 @@ impl Machine {
 
     /// Currently queued job ids (unsorted; policy order is computed per
     /// iteration).
-    pub fn queued_jobs(&self) -> &[JobId] {
-        &self.queued
+    pub fn queued_jobs(&self) -> impl ExactSizeIterator<Item = JobId> + '_ {
+        self.queued
+            .iter()
+            .map(|&slot| self.states[slot as usize].job.id)
     }
 
     /// Currently running job ids.
@@ -885,7 +906,7 @@ impl Machine {
 
     /// Nodes currently blocked by held jobs (allocator-charged).
     pub fn held_nodes(&self) -> u64 {
-        self.held.iter().map(|id| self.states[id].charged).sum()
+        self.held_nodes
     }
 
     /// Fraction of capacity currently blocked by holds, in `[0, 1]`.
@@ -899,8 +920,8 @@ impl Machine {
         let ongoing: u64 = self
             .held
             .iter()
-            .map(|id| {
-                let st = &self.states[id];
+            .filter_map(|&id| self.state(id))
+            .map(|st| {
                 st.charged * (now - st.hold_since.expect("held job has hold_since")).as_secs()
             })
             .sum();

@@ -1,0 +1,189 @@
+//! Model test of `Machine`'s job table: random submit / pick / start /
+//! hold / yield / start_held / release_held / try_start_direct / finish
+//! sequences on a flat and on a buddy machine, checked after every step
+//! against a plain model of each job's lifecycle stage.
+
+use cosched_sched::{AllocatorKind, Candidate, JobStatus, Machine, MachineConfig, PolicyKind};
+use cosched_sim::{SimDuration, SimTime};
+use cosched_workload::{Job, JobId, MachineId};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// Submit a job of `size` nodes (scaled to the machine) and runtime.
+    Submit(u64, u64),
+    /// Start a fresh scheduling iteration.
+    Begin,
+    /// Pick the next candidate and commit it: 0 = start, 1 = hold,
+    /// 2 = yield.
+    Pick(u8),
+    /// Start the `i`-th held job in place.
+    StartHeld(usize),
+    /// Force the `i`-th held job back to the queue.
+    ReleaseHeld(usize),
+    /// Direct-start the `i`-th queued job (the `try_start_mate` path).
+    TryDirect(usize),
+    /// Finish the `i`-th running job.
+    Finish(usize),
+    /// Advance the clock.
+    Advance(u64),
+}
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        prop_oneof![
+            (1u64..=100, 1u64..5_000).prop_map(|(s, r)| Op::Submit(s, r)),
+            Just(Op::Begin),
+            (0u8..3).prop_map(Op::Pick),
+            (0usize..8).prop_map(Op::StartHeld),
+            (0usize..8).prop_map(Op::ReleaseHeld),
+            (0usize..8).prop_map(Op::TryDirect),
+            (0usize..8).prop_map(Op::Finish),
+            (0u64..600).prop_map(Op::Advance),
+        ],
+        1..150,
+    )
+}
+
+/// What the model knows of one job.
+#[derive(Debug, Clone, Copy)]
+struct Modeled {
+    status: JobStatus,
+    /// Nodes charged while held (what `held_nodes` must sum).
+    charged: u64,
+}
+
+/// The plain model: every job's stage, plus the held and running lists in
+/// the order the machine keeps them.
+#[derive(Default)]
+struct Model {
+    jobs: BTreeMap<JobId, Modeled>,
+    held: Vec<JobId>,
+    running: Vec<JobId>,
+}
+
+impl Model {
+    fn set(&mut self, id: JobId, status: JobStatus, charged: u64) {
+        self.jobs.insert(id, Modeled { status, charged });
+    }
+
+    fn check(&self, m: &Machine, pending: Option<&Candidate>) {
+        let held: u64 = self.held.iter().map(|id| self.jobs[id].charged).sum();
+        assert_eq!(m.held_nodes(), held, "held nodes");
+        assert_eq!(m.held_jobs(), self.held.as_slice(), "held list");
+        assert_eq!(m.running_jobs(), self.running.as_slice(), "running list");
+        for (&id, j) in &self.jobs {
+            assert_eq!(m.status(id), j.status, "status of {id}");
+        }
+        // An outstanding candidate is still `Queued` but out of the queue.
+        let mut queued: Vec<JobId> = self
+            .jobs
+            .iter()
+            .filter(|(&id, j)| {
+                j.status == JobStatus::Queued && pending.is_none_or(|c| c.job_id != id)
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        let listed = m.queued_jobs();
+        assert_eq!(listed.len(), queued.len(), "queued count");
+        let mut listed: Vec<JobId> = listed.collect();
+        listed.sort();
+        queued.sort();
+        assert_eq!(listed, queued, "queued set");
+    }
+}
+
+fn run(config: MachineConfig, scale: u64, ops: &[Op]) {
+    let mut m = Machine::new(config);
+    let mut model = Model::default();
+    let mut now = SimTime::ZERO;
+    let mut next_id = 0u64;
+    for op in ops {
+        match *op {
+            Op::Submit(size, secs) => {
+                let id = JobId(next_id);
+                next_id += 1;
+                let [runtime, walltime] = [secs, 2 * secs].map(SimDuration::from_secs);
+                let job = Job::new(id, MachineId(0), now, size * scale, runtime, walltime);
+                m.submit(job, now);
+                model.set(id, JobStatus::Queued, 0);
+            }
+            Op::Begin => m.begin_iteration(),
+            Op::Pick(commit) => {
+                let Some(cand) = m.pick_next(now) else {
+                    continue;
+                };
+                assert_eq!(m.status(cand.job_id), JobStatus::Queued);
+                model.check(&m, Some(&cand));
+                let (id, charged) = (cand.job_id, cand.charged);
+                assert!(charged >= cand.size);
+                match commit {
+                    0 => {
+                        let _ = m.start(cand, now);
+                        model.set(id, JobStatus::Running, 0);
+                        model.running.push(id);
+                    }
+                    1 => {
+                        m.hold(cand, now);
+                        model.set(id, JobStatus::Held, charged);
+                        model.held.push(id);
+                    }
+                    _ => m.yield_job(cand, now),
+                }
+            }
+            Op::StartHeld(i) if !model.held.is_empty() => {
+                let id = model.held.remove(i % model.held.len());
+                assert!(m.start_held(id, now).is_some());
+                model.set(id, JobStatus::Running, 0);
+                model.running.push(id);
+            }
+            Op::ReleaseHeld(i) if !model.held.is_empty() => {
+                let id = model.held.remove(i % model.held.len());
+                assert!(m.release_held(id, now));
+                model.set(id, JobStatus::Queued, 0);
+            }
+            Op::TryDirect(i) => {
+                let queued: Vec<JobId> = m.queued_jobs().collect();
+                if queued.is_empty() {
+                    continue;
+                }
+                let id = queued[i % queued.len()];
+                if m.try_start_direct(id, now).is_some() {
+                    model.set(id, JobStatus::Running, 0);
+                    model.running.push(id);
+                }
+            }
+            Op::Finish(i) if !model.running.is_empty() => {
+                let id = model.running.remove(i % model.running.len());
+                m.finish(id, now);
+                model.set(id, JobStatus::Finished, 0);
+            }
+            Op::Advance(secs) => now += SimDuration::from_secs(secs),
+            Op::StartHeld(_) | Op::ReleaseHeld(_) | Op::Finish(_) => {}
+        }
+        model.check(&m, None);
+    }
+    let finished = model.jobs.values();
+    let finished = finished.filter(|j| j.status == JobStatus::Finished);
+    assert_eq!(m.records().len(), finished.count(), "one record per finish");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn flat_machine_job_table_matches_the_model(ops in ops()) {
+        let mut config = MachineConfig::flat("flat", MachineId(0), 100);
+        config.policy = PolicyKind::Wfp;
+        run(config, 1, &ops);
+    }
+
+    #[test]
+    fn buddy_machine_job_table_matches_the_model(ops in ops()) {
+        // Intrepid: buddy partitions of 512-node midplanes, WFP.
+        let config = MachineConfig::intrepid(MachineId(0));
+        assert_eq!(config.allocator, AllocatorKind::Buddy { unit: 512 });
+        run(config, 40, &ops);
+    }
+}

@@ -19,7 +19,7 @@
 
 use crate::job::{Job, JobId, MachineId, MateRef};
 use crate::trace::Trace;
-use cosched_sim::{IdHashMap, SimDuration, SimRng};
+use cosched_sim::{IdHashMap, IdHashSet, SimDuration, SimRng};
 
 /// Greedily associate unpaired jobs whose submissions fall within `window`
 /// of each other, one-to-one and in submission order. Returns the number of
@@ -101,8 +101,14 @@ pub fn pair_exact_proportion(
         let jitters: Vec<u64> = (0..chosen.len())
             .map(|_| rng.int_in(0, window.as_secs()))
             .collect();
+        // Each id's first position, as a scan of `ids_of_b` would find it.
+        let mut pos_of: IdHashMap<JobId, usize> = IdHashMap::default();
+        pos_of.reserve(ids_of_b.len());
+        for (pos, &id) in ids_of_b.iter().enumerate() {
+            pos_of.entry(id).or_insert(pos);
+        }
         for j in b.jobs_mut() {
-            if let Some(pos) = ids_of_b.iter().position(|&id| id == j.id) {
+            if let Some(&pos) = pos_of.get(&j.id) {
                 j.submit = submit_of_a[pos] + SimDuration::from_secs(jitters[pos]);
             }
         }
@@ -132,7 +138,7 @@ pub fn thin_pairs_to_share(
         "share {target_share} outside [0,1]"
     );
     let total_jobs = a.len() + b.len();
-    let current: Vec<(crate::job::JobId, crate::job::JobId)> = a
+    let current: Vec<(JobId, JobId)> = a
         .jobs()
         .iter()
         .filter_map(|j| j.mate.map(|m| (j.id, m.job)))
@@ -147,42 +153,48 @@ pub fn thin_pairs_to_share(
         let j = rng.int_in(i as u64, (current.len() - 1) as u64) as usize;
         idx.swap(i, j);
     }
-    let keep: std::collections::HashSet<usize> = idx[..target_pairs].iter().copied().collect();
-    for (pos, &(ida, idb)) in current.iter().enumerate() {
-        if keep.contains(&pos) {
-            continue;
-        }
-        for j in a.jobs_mut() {
-            if j.id == ida {
-                j.mate = None;
-            }
-        }
-        for j in b.jobs_mut() {
-            if j.id == idb {
-                j.mate = None;
-            }
+    // Unpair every job of a dropped pair (the ranks past the kept ones):
+    // one set of ids per trace, one pass over each trace.
+    let mut dropped: [IdHashSet<JobId>; 2] = Default::default();
+    for &i in &idx[target_pairs..] {
+        let (ida, idb) = current[i];
+        dropped[0].insert(ida);
+        dropped[1].insert(idb);
+    }
+    for (t, ids) in [a, b].into_iter().zip(&dropped) {
+        for j in t.jobs_mut().iter_mut().filter(|j| ids.contains(&j.id)) {
+            j.mate = None;
         }
     }
     target_pairs
 }
 
-fn apply_pairs(a: &mut Trace, b: &mut Trace, pairs: &[(crate::job::JobId, crate::job::JobId)]) {
+/// Point both members of every `(a id, b id)` pair at each other. Every job
+/// carrying a paired id is updated; when an id appears in several pairs,
+/// the last pair wins.
+fn apply_pairs(a: &mut Trace, b: &mut Trace, pairs: &[(JobId, JobId)]) {
     let (ma, mb) = (a.machine(), b.machine());
+    let mut mate_of: [IdHashMap<JobId, MateRef>; 2] = Default::default();
     for &(ida, idb) in pairs {
-        for j in a.jobs_mut() {
-            if j.id == ida {
-                j.mate = Some(MateRef {
-                    machine: mb,
-                    job: idb,
-                });
-            }
-        }
-        for j in b.jobs_mut() {
-            if j.id == idb {
-                j.mate = Some(MateRef {
-                    machine: ma,
-                    job: ida,
-                });
+        mate_of[0].insert(
+            ida,
+            MateRef {
+                machine: mb,
+                job: idb,
+            },
+        );
+        mate_of[1].insert(
+            idb,
+            MateRef {
+                machine: ma,
+                job: ida,
+            },
+        );
+    }
+    for (t, mates) in [a, b].into_iter().zip(&mate_of) {
+        for j in t.jobs_mut() {
+            if let Some(&mate) = mates.get(&j.id) {
+                j.mate = Some(mate);
             }
         }
     }
@@ -412,6 +424,165 @@ mod tests {
         let kept = thin_pairs_to_share(&mut a, &mut b, 0.5, &mut rng);
         assert_eq!(kept, before);
         assert_eq!(a.paired_count(), before);
+    }
+
+    /// The quadratic definitions the linear passes replaced, kept as the
+    /// reference model they must agree with.
+    mod reference {
+        use super::*;
+
+        pub fn apply_pairs(a: &mut Trace, b: &mut Trace, pairs: &[(JobId, JobId)]) {
+            let (ma, mb) = (a.machine(), b.machine());
+            for &(ida, idb) in pairs {
+                for j in a.jobs_mut() {
+                    if j.id == ida {
+                        j.mate = Some(MateRef {
+                            machine: mb,
+                            job: idb,
+                        });
+                    }
+                }
+                for j in b.jobs_mut() {
+                    if j.id == idb {
+                        j.mate = Some(MateRef {
+                            machine: ma,
+                            job: ida,
+                        });
+                    }
+                }
+            }
+        }
+
+        pub fn pair_exact_proportion(
+            a: &mut Trace,
+            b: &mut Trace,
+            proportion: f64,
+            window: SimDuration,
+            rng: &mut SimRng,
+        ) -> usize {
+            let n_max = a.len().min(b.len());
+            let want = (proportion * n_max as f64).round() as usize;
+            if want == 0 {
+                return 0;
+            }
+            let mut ranks: Vec<usize> = (0..n_max).collect();
+            for i in 0..want {
+                let j = rng.int_in(i as u64, (n_max - 1) as u64) as usize;
+                ranks.swap(i, j);
+            }
+            let mut chosen: Vec<usize> = ranks[..want].to_vec();
+            chosen.sort_unstable();
+            let pairs: Vec<_> = chosen
+                .iter()
+                .map(|&r| (a.jobs()[r].id, b.jobs()[r].id))
+                .collect();
+            let submit_of_a: Vec<_> = chosen.iter().map(|&r| a.jobs()[r].submit).collect();
+            let ids_of_b: Vec<_> = chosen.iter().map(|&r| b.jobs()[r].id).collect();
+            let jitters: Vec<u64> = (0..chosen.len())
+                .map(|_| rng.int_in(0, window.as_secs()))
+                .collect();
+            for j in b.jobs_mut() {
+                if let Some(pos) = ids_of_b.iter().position(|&id| id == j.id) {
+                    j.submit = submit_of_a[pos] + SimDuration::from_secs(jitters[pos]);
+                }
+            }
+            b.resort();
+            apply_pairs(a, b, &pairs);
+            pairs.len()
+        }
+
+        pub fn thin_pairs_to_share(
+            a: &mut Trace,
+            b: &mut Trace,
+            target_share: f64,
+            rng: &mut SimRng,
+        ) -> usize {
+            let total_jobs = a.len() + b.len();
+            let current: Vec<(JobId, JobId)> = a
+                .jobs()
+                .iter()
+                .filter_map(|j| j.mate.map(|m| (j.id, m.job)))
+                .collect();
+            let target_pairs = ((target_share * total_jobs as f64) / 2.0).round() as usize;
+            if current.len() <= target_pairs {
+                return current.len();
+            }
+            let mut idx: Vec<usize> = (0..current.len()).collect();
+            for i in 0..target_pairs {
+                let j = rng.int_in(i as u64, (current.len() - 1) as u64) as usize;
+                idx.swap(i, j);
+            }
+            let keep: std::collections::HashSet<usize> =
+                idx[..target_pairs].iter().copied().collect();
+            for (pos, &(ida, idb)) in current.iter().enumerate() {
+                if keep.contains(&pos) {
+                    continue;
+                }
+                for j in a.jobs_mut() {
+                    if j.id == ida {
+                        j.mate = None;
+                    }
+                }
+                for j in b.jobs_mut() {
+                    if j.id == idb {
+                        j.mate = None;
+                    }
+                }
+            }
+            target_pairs
+        }
+    }
+
+    /// A trace appended job by job from `(id, submit)` draws: ids may repeat
+    /// (which `Trace::push` allows), so "every job carrying the id" matters.
+    fn pushed(machine: usize, draws: &[(u64, u64)]) -> Trace {
+        let mut t = Trace::new(MachineId(machine));
+        for &(id, submit) in draws {
+            t.push(mk(machine, id, submit));
+        }
+        t.resort();
+        t
+    }
+
+    fn draws() -> impl proptest::prelude::Strategy<Value = Vec<(u64, u64)>> {
+        proptest::collection::vec((0u64..40, 0u64..3_000), 0..60)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn linear_pairing_matches_the_quadratic_reference(
+            da in draws(),
+            db in draws(),
+            pairs in proptest::collection::vec((0u64..45, 0u64..45), 0..30),
+            proportion in 0.0f64..1.0,
+            share in 0.0f64..0.6,
+            seed in 0u64..1_000,
+        ) {
+            let (a0, b0) = (pushed(0, &da), pushed(1, &db));
+            let pairs: Vec<(JobId, JobId)> =
+                pairs.iter().map(|&(x, y)| (JobId(x), JobId(y))).collect();
+            let (mut a, mut b) = (a0.clone(), b0.clone());
+            let (mut ra, mut rb) = (a0.clone(), b0.clone());
+            apply_pairs(&mut a, &mut b, &pairs);
+            reference::apply_pairs(&mut ra, &mut rb, &pairs);
+            proptest::prop_assert_eq!((&a, &b), (&ra, &rb));
+
+            // Exact proportion, then thinning, each on one RNG stream: the
+            // traces, the counts and the RNG's next draw must all agree.
+            let window = SimDuration::from_mins(2);
+            let (mut rng, mut rrng) = (SimRng::seed_from_u64(seed), SimRng::seed_from_u64(seed));
+            let (mut a, mut b) = (a0.clone(), b0.clone());
+            let (mut ra, mut rb) = (a0, b0);
+            let n = pair_exact_proportion(&mut a, &mut b, proportion, window, &mut rng);
+            let rn = reference::pair_exact_proportion(&mut ra, &mut rb, proportion, window, &mut rrng);
+            proptest::prop_assert_eq!(n, rn);
+            proptest::prop_assert_eq!((&a, &b), (&ra, &rb));
+            let k = thin_pairs_to_share(&mut a, &mut b, share, &mut rng);
+            let rk = reference::thin_pairs_to_share(&mut ra, &mut rb, share, &mut rrng);
+            proptest::prop_assert_eq!(k, rk);
+            proptest::prop_assert_eq!((&a, &b), (&ra, &rb));
+            proptest::prop_assert_eq!(rng.int_in(0, u64::MAX - 1), rrng.int_in(0, u64::MAX - 1));
+        }
     }
 
     #[test]
