@@ -1,11 +1,11 @@
 //! Regenerate the golden fixtures under `tests/fixtures/`: the trace
-//! fixtures `hy_seed13.jsonl` and `hh_sweep.jsonl`, and the campaign golden
-//! `campaign_smoke.jsonl`.
+//! fixtures `hy_seed13.jsonl` and `hh_sweep.jsonl`, and the campaign goldens
+//! `campaign_smoke.jsonl` and `campaign_quick.jsonl`.
 //!
 //! Run after an *intentional* trace-schema or behaviour change:
 //!
 //! ```text
-//! cargo run --example regen_fixture
+//! cargo run --release --example regen_fixture
 //! ```
 //!
 //! The trace runs are defined once in `tests/support/golden.rs`, which
@@ -29,8 +29,10 @@ fn main() {
         std::fs::write(&path, write_trace_string(&records)).expect("write fixture");
         println!("wrote {} records to {path}", records.len());
     }
-    let lines = campaign_golden::lines();
-    let path = format!("{dir}/{}", campaign_golden::FILE);
-    std::fs::write(&path, lines.join("\n") + "\n").expect("write campaign golden");
-    println!("wrote {} campaign cells to {path}", lines.len());
+    for (file, scale, _) in campaign_golden::goldens() {
+        let lines = campaign_golden::lines(scale);
+        let path = format!("{dir}/{file}");
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write campaign golden");
+        println!("wrote {} campaign cells to {path}", lines.len());
+    }
 }

@@ -1,10 +1,17 @@
-//! The committed campaign golden `tests/fixtures/campaign_smoke.jsonl` must
-//! match a recomputation of every smoke-scale campaign cell. A mismatch
-//! names the first differing cell and the fields that moved, not just a
-//! hash.
+//! The committed campaign goldens under `tests/fixtures/` must match a
+//! recomputation of every campaign cell. A mismatch names the first
+//! differing cell and the fields that moved, not just a hash.
+//!
+//! The smoke-scale golden runs in tier-1. The quick-scale golden (120
+//! ten-day cells) is `#[ignore]`d; run it in release:
+//!
+//! ```text
+//! cargo test --release --test campaign_golden -- --ignored
+//! ```
 //!
 //! After an *intentional* behaviour change, regenerate with
-//! `cargo run --example regen_fixture` and commit the file with the change.
+//! `cargo run --release --example regen_fixture` and commit the files with
+//! the change.
 
 #[path = "support/campaign_golden.rs"]
 mod campaign_golden;
@@ -17,17 +24,15 @@ fn fields(line: &str) -> Vec<&str> {
         .collect()
 }
 
-#[test]
-fn campaign_cells_match_the_committed_golden() {
-    let path = format!(
-        "{}/tests/fixtures/{}",
-        env!("CARGO_MANIFEST_DIR"),
-        campaign_golden::FILE
-    );
+/// Recompute golden number `which` of [`campaign_golden::goldens`] and
+/// compare it with the committed file.
+fn check(which: usize) {
+    let (file, scale, cells) = campaign_golden::goldens()[which];
+    let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).expect("committed campaign golden");
     let committed: Vec<&str> = text.lines().collect();
-    let fresh = campaign_golden::lines();
-    assert_eq!(committed.len(), 40, "smoke scale has 40 cells");
+    let fresh = campaign_golden::lines(scale);
+    assert_eq!(committed.len(), cells, "{file} has {cells} cells");
     assert_eq!(
         fresh.len(),
         committed.len(),
@@ -49,4 +54,15 @@ fn campaign_cells_match_the_committed_golden() {
             .collect();
         panic!("campaign cell {{{cell}}} differs: {}", diffs.join("; "));
     }
+}
+
+#[test]
+fn campaign_cells_match_the_committed_golden() {
+    check(0);
+}
+
+#[test]
+#[ignore = "120 ten-day cells; run with --release -- --ignored"]
+fn quick_campaign_cells_match_the_committed_golden() {
+    check(1);
 }

@@ -1,46 +1,79 @@
-//! The campaign golden: one line per smoke-scale campaign cell, committed as
-//! `tests/fixtures/campaign_smoke.jsonl`. Shared by
-//! `examples/regen_fixture.rs`, which writes it, and
-//! `tests/campaign_golden.rs`, which recomputes it and names the first
+//! The campaign goldens: one line per campaign cell, committed as
+//! `tests/fixtures/campaign_smoke.jsonl` (smoke scale, 40 cells) and
+//! `tests/fixtures/campaign_quick.jsonl` (quick scale, 120 ten-day cells).
+//! Shared by `examples/regen_fixture.rs`, which writes them, and
+//! `tests/campaign_golden.rs`, which recomputes them and names the first
 //! differing cell and the fields that moved.
 //!
 //! Each line identifies its cell (sweep, grid point, combo, seed) and
-//! carries an FNV-1a 64 digest of the cell's `SeedOutcome` JSON, the
-//! report's `events` and `queue_high_water`, and the headline numbers a
-//! failing diff should name directly: mean wait, synchronization time and
-//! lost node-hours per machine, `sync_ok` and `deadlocked`. Values never
-//! contain a comma, so a line splits into its fields on `,`.
+//! carries an FNV-1a 64 digest of the cell's `SeedOutcome` JSON, an FNV-1a
+//! 64 digest of the whole `SimulationReport` `Debug` text (records,
+//! scheduler counters and metrics included), the report's `events` and
+//! `queue_high_water`, and the headline numbers a failing diff should name
+//! directly: mean wait, synchronization time and lost node-hours per
+//! machine, `sync_ok` and `deadlocked`. Values never contain a comma, so a
+//! line splits into its fields on `,`.
 
 use cosched_bench::campaign::{sweep_cells, SweepKind};
 use cosched_bench::harness::{run_seed_with_report, Scale};
+use std::fmt::Write;
 
-/// File name under `tests/fixtures/`.
-pub const FILE: &str = "campaign_smoke.jsonl";
-
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// The committed goldens: file name under `tests/fixtures/`, scale and
+/// cell count.
+pub fn goldens() -> [(&'static str, Scale, usize); 2] {
+    [
+        ("campaign_smoke.jsonl", Scale::smoke(), 40),
+        ("campaign_quick.jsonl", Scale::quick(), 120),
+    ]
 }
 
-/// Every smoke-scale cell of both sweeps, one JSON line each, in
+/// FNV-1a, 64-bit, fed through `fmt::Write` so a `Debug` rendering is
+/// digested without materialising the text.
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// FNV-1a 64 of `value`'s `Debug` text.
+fn debug_fnv(value: &impl std::fmt::Debug) -> u64 {
+    let mut h = Fnv1a64::new();
+    write!(h, "{value:?}").expect("hashing never fails");
+    h.0
+}
+
+/// Every cell of both sweeps at `scale`, one JSON line each, in
 /// submission order.
-pub fn lines() -> Vec<String> {
+pub fn lines(scale: Scale) -> Vec<String> {
     [SweepKind::Load, SweepKind::Proportion]
         .into_iter()
-        .flat_map(|kind| sweep_cells(kind, Scale::smoke()))
+        .flat_map(|kind| sweep_cells(kind, scale))
         .map(|cell| {
             let (outcome, report) = run_seed_with_report(cell.combo, cell.traces());
             let json = serde_json::to_string(&outcome).expect("outcome serializes");
+            let mut outcome_fnv = Fnv1a64::new();
+            outcome_fnv.write_str(&json).expect("hashing never fails");
             let combo = cell.combo.map_or("baseline".to_string(), |c| c.label());
             let mut line = format!(
                 "{{\"sweep\":\"{}\",\"x\":{:?},\"combo\":\"{combo}\",\"seed\":{},\
-                 \"outcome_fnv\":\"{:016x}\",\"events\":{},\"queue_high_water\":{}",
+                 \"outcome_fnv\":\"{:016x}\",\"report_fnv\":\"{:016x}\",\
+                 \"events\":{},\"queue_high_water\":{}",
                 cell.kind.label(),
                 cell.x,
                 cell.seed,
-                fnv1a64(json.as_bytes()),
+                outcome_fnv.0,
+                debug_fnv(&report),
                 report.events,
                 report.queue_high_water,
             );
