@@ -1,15 +1,15 @@
 //! Micro-benches for the scheduler hot paths the campaign runner hammers:
-//! queue ordering (fresh allocation vs reused scratch), shadow computation
+//! queue ordering (from scratch vs re-sorting the previous order), shadow computation
 //! (sort-per-call vs incrementally sorted walk), buddy-allocator fit and
 //! alloc/release cycles, and one end-to-end simulated day. Committed
 //! baseline numbers live in `BENCH_sim.json`; the allocation-freeness of
-//! the scratch paths is asserted by `tests/alloc_free.rs`.
+//! the persisted-order paths is asserted by `tests/alloc_free.rs`.
 
 use cosched_bench::harness::{anl_load_traces, run_one};
 use cosched_core::SchemeCombo;
 use cosched_sched::alloc::BuddyAllocator;
 use cosched_sched::backfill::{compute_shadow, compute_shadow_sorted, ProjectedRelease};
-use cosched_sched::policy::{order_queue, order_queue_into, OrderScratch};
+use cosched_sched::policy::{order_queue, sort_keys, OrderKey};
 use cosched_sched::{NodeAllocator, PolicyKind};
 use cosched_sim::{SimDuration, SimTime};
 use cosched_workload::{Job, JobId, MachineId};
@@ -43,17 +43,25 @@ fn bench_order_queue(c: &mut Criterion) {
                 b.iter(|| black_box(order_queue(PolicyKind::Wfp, now, views, &|_| false)).len())
             },
         );
-        let mut scratch = OrderScratch::new();
-        group.bench_with_input(
-            BenchmarkId::new("scratch_reuse", depth),
-            &views,
-            |b, views| {
-                b.iter(|| {
-                    order_queue_into(PolicyKind::Wfp, now, views, &|_| false, &mut scratch);
-                    black_box(scratch.order().len())
-                })
-            },
-        );
+        // What a scheduling iteration does: rescore the previous
+        // iteration's order one minute later, in place, and re-sort it.
+        let mut keys: Vec<OrderKey> = (0u32..)
+            .zip(&jobs)
+            .map(|(slot, j)| OrderKey::new(PolicyKind::Wfp, now, j, 0.0, false, slot))
+            .collect();
+        sort_keys(&mut keys);
+        let mut t = now;
+        group.bench_function(BenchmarkId::new("persisted_resort", depth), |b| {
+            b.iter(|| {
+                t += SimDuration::from_secs(60);
+                for key in &mut keys {
+                    let job = &jobs[key.slot as usize];
+                    *key = OrderKey::new(PolicyKind::Wfp, t, job, 0.0, false, key.slot);
+                }
+                sort_keys(&mut keys);
+                black_box(keys[0].slot)
+            })
+        });
     }
     group.finish();
 }

@@ -2,8 +2,9 @@
 //! counting global allocator.
 //!
 //! The campaign runner executes millions of scheduling iterations per
-//! sweep; the optimization work (reused `OrderScratch`, incrementally
-//! sorted release list, buddy order bitmask) only pays off if the
+//! sweep; the optimization work (a queue kept in policy order across
+//! iterations, incrementally sorted release list, buddy order bitmask)
+//! only pays off if the
 //! steady-state paths stay off the allocator entirely. These tests pin
 //! that: after a warm-up call to size the reusable buffers, the hot
 //! paths must perform **zero** heap allocations.
@@ -18,7 +19,7 @@ use std::hint::black_box;
 
 use cosched_sched::alloc::BuddyAllocator;
 use cosched_sched::backfill::{compute_shadow, compute_shadow_sorted, ProjectedRelease};
-use cosched_sched::policy::{order_queue_into, OrderScratch};
+use cosched_sched::policy::{sort_keys, OrderKey};
 use cosched_sched::{Machine, MachineConfig, NodeAllocator, PolicyKind};
 use cosched_sim::{SimDuration, SimTime};
 use cosched_workload::{Job, JobId, MachineId};
@@ -80,20 +81,27 @@ fn counter_counts() {
 }
 
 #[test]
-fn order_queue_into_is_allocation_free_after_warmup() {
+fn sort_keys_is_allocation_free() {
     let jobs = queue_jobs(128);
-    let views: Vec<(&Job, f64)> = jobs.iter().map(|j| (j, 0.0)).collect();
-    let now = SimTime::from_secs(86_400);
-    let mut scratch = OrderScratch::new();
-    // Warm-up sizes the scratch buffers.
-    order_queue_into(PolicyKind::Wfp, now, &views, &|_| false, &mut scratch);
+    let keys_at = |now: u64| -> Vec<OrderKey> {
+        (0u32..)
+            .zip(&jobs)
+            .map(|(slot, j)| {
+                let now = SimTime::from_secs(now);
+                OrderKey::new(PolicyKind::Wfp, now, j, 0.0, false, slot)
+            })
+            .collect()
+    };
+    let (mut keys, later) = (keys_at(7_200), keys_at(86_400));
     let n = count_allocs(|| {
         for _ in 0..16 {
-            order_queue_into(PolicyKind::Wfp, now, &views, &|_| false, &mut scratch);
-            black_box(scratch.order().len());
+            keys.copy_from_slice(&later);
+            keys.reverse();
+            sort_keys(&mut keys);
+            black_box(keys[0].slot);
         }
     });
-    assert_eq!(n, 0, "steady-state queue ordering must not allocate");
+    assert_eq!(n, 0, "queue ordering must not allocate");
 }
 
 #[test]
@@ -207,4 +215,45 @@ fn machine_blocked_iteration_is_allocation_free_after_warmup() {
         n, 0,
         "steady-state blocked scheduling iteration must not allocate"
     );
+}
+
+/// The re-sort path of the persisted queue order: a blocked machine whose
+/// WFP scores cross as `now` advances, so iterations re-sort the queue
+/// kept from the previous one. Still no heap traffic once warm.
+#[test]
+fn machine_resorting_iteration_is_allocation_free_after_warmup() {
+    let mut config = MachineConfig::flat("m", MachineId(0), 100);
+    config.policy = PolicyKind::Wfp;
+    let mut machine = Machine::new(config);
+    let t0 = SimTime::ZERO;
+    let job = |id, submit, size, walltime| {
+        let walltime = SimDuration::from_secs(walltime);
+        Job::new(JobId(id), MachineId(0), submit, size, walltime, walltime)
+    };
+    machine.submit(job(0, t0, 60, 43_200), t0);
+    machine.begin_iteration();
+    let cand = machine.pick_next(t0).expect("fits an empty machine");
+    machine.start(cand, t0);
+
+    // A long job queued early and a short one queued late: the short job's
+    // WFP score overtakes the long one's within minutes.
+    let late = SimTime::from_secs(3_000);
+    machine.submit(job(1, t0, 95, 36_000), late);
+    machine.submit(job(2, late, 80, 600), late);
+    let order = |m: &Machine| m.queued_jobs().collect::<Vec<_>>();
+
+    let mut now = late + SimDuration::from_secs(1);
+    machine.begin_iteration();
+    assert!(machine.pick_next(now).is_none(), "queue must stay blocked");
+    let before = order(&machine);
+    assert_eq!(before, [JobId(1), JobId(2)], "long job leads at first");
+    let n = count_allocs(|| {
+        for _ in 0..16 {
+            now += SimDuration::from_secs(40);
+            machine.begin_iteration();
+            assert!(machine.pick_next(now).is_none());
+        }
+    });
+    assert_eq!(order(&machine), [JobId(2), JobId(1)], "scores crossed");
+    assert_eq!(n, 0, "re-sorting scheduling iteration must not allocate");
 }

@@ -37,7 +37,7 @@ use cosched_obs::{
     PhaseSnapshot, SpanKind, TraceEvent, GLOBAL, NO_JOB, NO_SPAN,
 };
 use cosched_proto::{MateStatus, ProtoError, Request, Response};
-use cosched_sched::{Machine, SchedStats};
+use cosched_sched::{JobStatus, Machine, SchedStats};
 use cosched_sim::{EventQueue, IdHashMap, IdHashSet, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, Trace};
 use std::sync::Arc;
@@ -772,20 +772,19 @@ impl<O: Observer> CoupledSimulation<O> {
                 self.domains[m].machine().held_node_seconds(horizon),
             )
         });
-        // Pair start offsets.
-        let mut starts: IdHashMap<(usize, JobId), SimTime> = IdHashMap::default();
-        for (m, recs) in records.iter().enumerate() {
-            for r in recs {
-                starts.insert((m, r.id), r.start);
-            }
-        }
+        // Pair start offsets, over pairs whose jobs both finished.
         let mid = |machine| usize::from(machine == self.config.machines[1].machine);
+        let finished_start = |m: usize, job| {
+            let machine = self.domains[m].machine();
+            let finished = machine.status(job) == JobStatus::Finished;
+            finished.then(|| machine.start_of(job)).flatten()
+        };
         let mut pair_offsets = Vec::new();
         let mut rendezvous = RendezvousCounts::default();
         for ((ma, ja), mate) in self.domains[0].registry().pairs() {
-            if let (Some(&sa), Some(&sb)) = (
-                starts.get(&(mid(ma), ja)),
-                starts.get(&(mid(mate.machine), mate.job)),
+            if let (Some(sa), Some(sb)) = (
+                finished_start(mid(ma), ja),
+                finished_start(mid(mate.machine), mate.job),
             ) {
                 pair_offsets.push(sa.abs_diff(sb));
                 let keys = [(mid(ma), ja), (mid(mate.machine), mate.job)];

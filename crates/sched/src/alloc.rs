@@ -49,6 +49,12 @@ impl AllocatorKind {
 }
 
 /// Abstract node allocator. All sizes are in nodes.
+///
+/// The scheduler computes each job's [`NodeAllocator::charged_nodes`] once,
+/// at submit, and rejects a request whose charge exceeds the free count
+/// before asking [`NodeAllocator::can_fit`]. Every implementation must
+/// therefore keep two promises: `charged_nodes` depends on `size` alone,
+/// and `can_fit(size)` implies `charged_nodes(size) <= free_nodes()`.
 pub trait NodeAllocator: Send {
     /// Total schedulable nodes.
     fn capacity(&self) -> u64;

@@ -27,7 +27,7 @@
 
 use crate::alloc::{AllocHandle, AllocatorKind, NodeAllocator};
 use crate::backfill::{compute_shadow_sorted, ProjectedRelease, Shadow};
-use crate::policy::{order_jobs_into, OrderScratch, PolicyKind, QueuedView};
+use crate::policy::{sort_keys, OrderKey, PolicyKind};
 use crate::predict::{PredictorKind, WalltimePredictor};
 use cosched_metrics::JobRecord;
 use cosched_obs::trace::{AllocFailReason, TraceEvent};
@@ -168,6 +168,8 @@ struct JobState {
     holds: u32,
     start: Option<SimTime>,
     alloc: Option<AllocHandle>,
+    /// Nodes the allocator charges for the job (`charged_nodes(size)`, a
+    /// function of size alone), computed once at submit.
     charged: u64,
     hold_since: Option<SimTime>,
     demoted_at: Option<SimTime>,
@@ -192,6 +194,13 @@ struct ReleaseEntry {
 /// A job's index into [`Machine`]'s dense job table, assigned at submit.
 type Slot = u32;
 
+/// The order key of the job in `slot`, whose state is `st`, at `now`.
+fn order_key(config: &MachineConfig, st: &JobState, slot: Slot, now: SimTime) -> OrderKey {
+    let boost = st.yields as f64 * config.yield_priority_boost;
+    let demoted = st.demoted_at == Some(now);
+    OrderKey::new(config.policy, now, &st.job, boost, demoted, slot)
+}
+
 /// The resource manager for one scheduling domain.
 pub struct Machine {
     config: MachineConfig,
@@ -201,7 +210,10 @@ pub struct Machine {
     states: Vec<JobState>,
     /// Slot of each submitted job, for the public [`JobId`] API.
     slots: IdHashMap<JobId, Slot>,
-    queued: Vec<Slot>,
+    /// The queued jobs' order keys, in the policy order of the last
+    /// iteration; jobs queued since then are appended. Each iteration
+    /// rescores them in place and re-sorts only if the order moved.
+    queued: Vec<OrderKey>,
     held: Vec<JobId>,
     /// Allocator-charged nodes of the held jobs, kept by
     /// `hold`/`start_held`/`release_held`.
@@ -219,11 +231,11 @@ pub struct Machine {
     /// Scratch for the (rare) shadow query that must re-rank overdue
     /// releases; reused so the steady-state path allocates nothing.
     shadow_scratch: Vec<ProjectedRelease>,
-    /// Reused buffers for policy ordering (scores, flags, permutation).
-    order_scratch: OrderScratch,
-    /// Policy order computed lazily once per iteration (scores are fixed
-    /// within an iteration because `now` is fixed); the buffer is reused
-    /// across iterations, `iter_order_valid` gates staleness.
+    /// This iteration's policy order, snapshotted from `queued` at its
+    /// first pick (scores are fixed within an iteration because `now` is
+    /// fixed); the buffer is reused across iterations, `iter_order_valid`
+    /// gates staleness. The walk re-checks each job's status: a peer's
+    /// direct start can take a queued job between two picks.
     iter_order: Vec<Slot>,
     iter_order_valid: bool,
     /// Walk position in `iter_order`. A cursor is semantically equivalent
@@ -265,7 +277,6 @@ impl Machine {
             predictor,
             releases: Vec::new(),
             shadow_scratch: Vec::new(),
-            order_scratch: OrderScratch::new(),
             iter_order: Vec::new(),
             iter_order_valid: false,
             iter_cursor: 0,
@@ -337,23 +348,28 @@ impl Machine {
         assert!(prev.is_none(), "duplicate submission of job {id}");
         self.states.push(JobState {
             planned: self.predictor.predict(&job),
+            charged: self.allocator.charged_nodes(job.size),
             job,
             first_ready: None,
             yields: 0,
             holds: 0,
             start: None,
             alloc: None,
-            charged: 0,
             hold_since: None,
             demoted_at: None,
             projected_end: None,
             status: JobStatus::Queued,
         });
-        self.queued.push(slot);
+        self.queued.push(self.order_key(slot, now));
     }
 
-    /// Begin a scheduling iteration: the policy order is rebuilt at the
-    /// next pick.
+    /// Job `slot`'s order key at `now`.
+    fn order_key(&self, slot: Slot, now: SimTime) -> OrderKey {
+        order_key(&self.config, &self.states[slot as usize], slot, now)
+    }
+
+    /// Begin a scheduling iteration: the queue is rescored and put back in
+    /// policy order at the next pick.
     pub fn begin_iteration(&mut self) {
         assert!(
             self.pending.is_none(),
@@ -372,29 +388,18 @@ impl Machine {
     pub fn pick_next(&mut self, now: SimTime) -> Option<Candidate> {
         assert!(self.pending.is_none(), "previous candidate not committed");
         if !self.iter_order_valid {
-            let mut scratch = std::mem::take(&mut self.order_scratch);
-            let boost = self.config.yield_priority_boost;
-            order_jobs_into(
-                self.config.policy,
-                now,
-                self.queued.iter().map(|&slot| {
-                    let st = &self.states[slot as usize];
-                    (
-                        &st.job,
-                        st.yields as f64 * boost,
-                        st.demoted_at == Some(now),
-                    )
-                }),
-                &mut scratch,
-            );
+            for key in &mut self.queued {
+                *key = order_key(&self.config, &self.states[key.slot as usize], key.slot, now);
+            }
+            sort_keys(&mut self.queued);
             self.iter_order.clear();
-            self.iter_order
-                .extend(scratch.order().iter().map(|&idx| self.queued[idx]));
-            self.order_scratch = scratch;
+            self.iter_order.extend(self.queued.iter().map(|k| k.slot));
             self.iter_order_valid = true;
             self.iter_cursor = 0;
             self.iter_shadow = None;
         }
+        // Nothing is allocated until the walk returns.
+        let free = self.allocator.free_nodes();
         while self.iter_cursor < self.iter_order.len() {
             let slot = self.iter_order[self.iter_cursor];
             self.iter_cursor += 1;
@@ -402,14 +407,15 @@ impl Machine {
             if st.status != JobStatus::Queued {
                 continue;
             }
-            let (id, size, planned) = (st.job.id, st.job.size, st.planned);
-            let fits = self.allocator.can_fit(size);
+            let (id, size, need, planned) = (st.job.id, st.job.size, st.charged, st.planned);
+            debug_assert!(
+                need <= free || !self.allocator.can_fit(size),
+                "can_fit({size}) with a charge of {need} over {free} free nodes"
+            );
+            let fits = need <= free && self.allocator.can_fit(size);
             let admitted = match self.iter_shadow {
                 None => fits,
-                Some(s) => {
-                    fits && self.config.backfill
-                        && s.admits(self.allocator.charged_nodes(size), now + planned)
-                }
+                Some(s) => fits && self.config.backfill && s.admits(need, now + planned),
             };
             if admitted {
                 let via_backfill = self.iter_shadow.is_some();
@@ -417,13 +423,12 @@ impl Machine {
                     .allocator
                     .alloc(size)
                     .expect("can_fit implies alloc succeeds");
-                let charged = self.allocator.charged_nodes(size);
                 let st = &mut self.states[slot as usize];
                 st.alloc = Some(handle);
-                st.charged = charged;
                 st.first_ready.get_or_insert(now);
                 let paired = st.job.mate.is_some();
-                let pos = self.queued.iter().position(|&q| q == slot).expect("queued");
+                let pos = self.queued.iter().position(|k| k.slot == slot);
+                let pos = pos.expect("picked job is queued");
                 self.queued.remove(pos);
                 self.pending = Some(slot);
                 self.stats.picks += 1;
@@ -437,13 +442,13 @@ impl Machine {
                 return Some(Candidate {
                     job_id: id,
                     size,
-                    charged,
+                    charged: need,
                     via_backfill,
                     paired,
                 });
             }
             if !fits {
-                let reason = if self.allocator.charged_nodes(size) <= self.allocator.free_nodes() {
+                let reason = if need <= free {
                     self.stats.alloc_fail_fragmentation += 1;
                     AllocFailReason::Fragmentation
                 } else {
@@ -464,52 +469,22 @@ impl Machine {
                     self.iter_cursor = usize::MAX;
                     return None;
                 }
-                self.iter_shadow = Some(self.shadow_for(id, size, now));
+                self.iter_shadow = Some(self.shadow_for(id, need, now));
             }
         }
         None
     }
 
     /// The queued job a scheduling iteration at `now` would consider first
-    /// — the unique minimum under the policy comparator (demotion, then
-    /// descending score, then `(submit, id)`). One O(n) scan; equivalent to
-    /// sorting and taking the front, without materialising the order.
+    /// — the minimum under the policy comparator. One O(n) scan;
+    /// equivalent to sorting and taking the front, without reordering.
     fn policy_head(&self, now: SimTime) -> Option<usize> {
-        let boost = self.config.yield_priority_boost;
-        let mut best: Option<(bool, f64, SimTime, JobId, usize)> = None;
-        for &slot in &self.queued {
-            let st = &self.states[slot as usize];
-            let key = (
-                st.demoted_at == Some(now),
-                self.config.policy.score(QueuedView {
-                    job: &st.job,
-                    now,
-                    boost: st.yields as f64 * boost,
-                }),
-                st.job.submit,
-                st.job.id,
-                slot as usize,
-            );
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    key.0
-                        .cmp(&b.0)
-                        .then_with(|| b.1.partial_cmp(&key.1).expect("scores are finite"))
-                        .then_with(|| key.2.cmp(&b.2))
-                        .then_with(|| key.3.cmp(&b.3))
-                        == std::cmp::Ordering::Less
-                }
-            };
-            if better {
-                best = Some(key);
-            }
-        }
-        best.map(|b| b.4)
+        let keys = self.queued.iter().map(|k| self.order_key(k.slot, now));
+        keys.min_by(OrderKey::compare).map(|k| k.slot as usize)
     }
 
-    fn shadow_for(&mut self, head_id: JobId, head_size: u64, now: SimTime) -> Shadow {
-        let charged = self.allocator.charged_nodes(head_size);
+    /// The head job's reservation; `charged` is its allocator charge.
+    fn shadow_for(&mut self, head_id: JobId, charged: u64, now: SimTime) -> Shadow {
         let free = self.allocator.free_nodes();
         // Plan against the predicted runtimes in `self.releases`, never
         // shorter than what a job has already consumed plus a beat.
@@ -655,15 +630,14 @@ impl Machine {
     /// Yield a ready candidate: release its nodes and requeue it. The
     /// iteration's walk has passed it, so other jobs get the chance for the
     /// remainder of this iteration.
-    pub fn yield_job(&mut self, cand: Candidate, _now: SimTime) {
+    pub fn yield_job(&mut self, cand: Candidate, now: SimTime) {
         let slot = self.commit_check(&cand);
         let st = &mut self.states[slot];
         let handle = st.alloc.take().expect("candidate holds an allocation");
-        st.charged = 0;
         st.yields += 1;
         st.status = JobStatus::Queued;
         self.allocator.release(handle);
-        self.queued.push(slot as Slot);
+        self.queued.push(self.order_key(slot as Slot, now));
     }
 
     /// Start a held job in place (its mate became ready). Returns the
@@ -702,11 +676,10 @@ impl Machine {
         self.held_ledger += st.charged * (now - since).as_secs();
         self.held_nodes -= st.charged;
         let handle = st.alloc.take().expect("held job holds an allocation");
-        st.charged = 0;
         st.demoted_at = Some(now);
         st.status = JobStatus::Queued;
         self.allocator.release(handle);
-        self.queued.push(slot as Slot);
+        self.queued.push(self.order_key(slot as Slot, now));
         true
     }
 
@@ -722,16 +695,15 @@ impl Machine {
         let slot = self.slot(id)?;
         let handle = self.admit_direct(slot, now)?;
         let st = &mut self.states[slot];
-        let charged = self.allocator.charged_nodes(st.job.size);
+        let charged = st.charged;
         let projected = now + st.planned;
         st.alloc = Some(handle);
-        st.charged = charged;
         st.first_ready.get_or_insert(now);
         st.start = Some(now);
         st.status = JobStatus::Running;
         st.projected_end = Some(projected);
         let end = now + st.job.runtime;
-        let pos = self.queued.iter().position(|&q| q as usize == slot);
+        let pos = self.queued.iter().position(|k| k.slot as usize == slot);
         self.queued.remove(pos.expect("admitted job is queued"));
         self.running.push(id);
         self.insert_release(id, projected, charged);
@@ -769,7 +741,7 @@ impl Machine {
         if st.status != JobStatus::Queued {
             return None;
         }
-        let (size, planned) = (st.job.size, st.planned);
+        let (size, need, planned) = (st.job.size, st.charged, st.planned);
         if !self.allocator.can_fit(size) {
             return None;
         }
@@ -782,7 +754,9 @@ impl Machine {
             if !self.config.backfill {
                 return None;
             }
-            let (head_id, head_size) = (self.states[head].job.id, self.states[head].job.size);
+            let head_st = &self.states[head];
+            let (head_id, head_size, head_need) =
+                (head_st.job.id, head_st.job.size, head_st.charged);
             if self.allocator.can_fit(head_size) {
                 // The head could start right now; the mate may slip in only
                 // if the head remains startable afterwards.
@@ -796,8 +770,8 @@ impl Machine {
             } else {
                 // Head is blocked: honour its reservation like any
                 // backfill candidate.
-                let shadow = self.shadow_for(head_id, head_size, now);
-                if !shadow.admits(self.allocator.charged_nodes(size), now + planned) {
+                let shadow = self.shadow_for(head_id, head_need, now);
+                if !shadow.admits(need, now + planned) {
                     return None;
                 }
                 self.allocator.alloc(size).expect("can_fit implies alloc")
@@ -881,12 +855,11 @@ impl Machine {
         &self.held
     }
 
-    /// Currently queued job ids (unsorted; policy order is computed per
-    /// iteration).
+    /// Currently queued job ids, in the policy order of the last
+    /// scheduling iteration; jobs queued since then follow, in the order
+    /// they were queued.
     pub fn queued_jobs(&self) -> impl ExactSizeIterator<Item = JobId> + '_ {
-        self.queued
-            .iter()
-            .map(|&slot| self.states[slot as usize].job.id)
+        self.queued.iter().map(|k| k.id)
     }
 
     /// Currently running job ids.

@@ -12,6 +12,7 @@
 use cosched_sim::{SimDuration, SimTime};
 use cosched_workload::{Job, JobId};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Selectable queue policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,115 +71,93 @@ impl PolicyKind {
     }
 }
 
-/// Reusable buffers for [`order_queue_into`]. A scheduler that keeps one
-/// of these across iterations performs no per-iteration allocation once the
-/// buffers have grown to the queue's steady-state depth.
-#[derive(Debug, Default)]
-pub struct OrderScratch {
-    /// Output permutation (indices into the jobs slice).
-    idx: Vec<usize>,
-    /// Cached per-job scores — each job is scored exactly once per sort, not
-    /// once per comparison.
-    scores: Vec<f64>,
-    /// Cached per-job demotion flags — the `demoted` predicate is evaluated
-    /// once per job, not `O(n log n)` times inside the comparator.
-    demoted: Vec<bool>,
-    /// Cached `(submit, id)` tiebreak keys. With every comparator input in
-    /// scratch, [`order_jobs_into`] can take its jobs from an iterator —
-    /// callers need not materialise a slice of views.
-    keys: Vec<(SimTime, JobId)>,
+/// A queued job's place in the scheduling order at one instant, packed so
+/// the comparator reads no job state: demotion flag, policy score and the
+/// `(submit, id)` tiebreak. `slot` is the caller's index of the job; it is
+/// carried along and never compared.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OrderKey {
+    /// Demoted by the deadlock breaker at this instant (§IV-E1): sorts after
+    /// every other job.
+    pub demoted: bool,
+    /// Policy score; higher sorts first.
+    pub score: f64,
+    /// Submission instant, the first tiebreak.
+    pub submit: SimTime,
+    /// Job id, the last tiebreak. Ids are unique, so the order is total.
+    pub id: JobId,
+    /// The caller's index of the job.
+    pub slot: u32,
 }
 
-impl OrderScratch {
-    /// Fresh, empty scratch space.
-    pub fn new() -> Self {
-        Self::default()
+impl OrderKey {
+    /// Score `job` under `policy` at `now`.
+    pub fn new(
+        policy: PolicyKind,
+        now: SimTime,
+        job: &Job,
+        boost: f64,
+        demoted: bool,
+        slot: u32,
+    ) -> Self {
+        OrderKey {
+            demoted,
+            score: policy.score(QueuedView { job, now, boost }),
+            submit: job.submit,
+            id: job.id,
+            slot,
+        }
     }
 
-    /// Indices of the jobs slice in scheduling order, as computed by the
-    /// last [`order_queue_into`] call on this scratch.
-    pub fn order(&self) -> &[usize] {
-        &self.idx
+    /// The scheduling comparator: undemoted first, then descending score,
+    /// then `(submit, id)`. A total order over distinct jobs, pinned by
+    /// `comparator_is_a_total_order` below.
+    pub fn compare(&self, other: &Self) -> Ordering {
+        self.demoted
+            .cmp(&other.demoted)
+            .then_with(|| {
+                other
+                    .score
+                    .partial_cmp(&self.score)
+                    .expect("scores are finite")
+            })
+            .then_with(|| (self.submit, self.id).cmp(&(other.submit, other.id)))
+    }
+}
+
+/// Put `keys` into scheduling order, in place and without allocating. A
+/// queue kept in the order of its previous iteration is usually still
+/// sorted after rescoring, so the sort runs only when scores crossed or a
+/// demotion, yield or arrival moved a job. The result does not depend on
+/// the starting order: the comparator is total, so exactly one sorted
+/// permutation exists and the unstable sort finds it.
+pub fn sort_keys(keys: &mut [OrderKey]) {
+    if !keys.is_sorted_by(|a, b| a.compare(b).is_lt()) {
+        keys.sort_unstable_by(OrderKey::compare);
     }
 }
 
 /// Sort `jobs` (with their boosts) into scheduling order under `policy`:
-/// descending score, ties by `(submit, id)`. `demoted` ids sort after
-/// everything else (the deadlock-breaker demotion of §IV-E1).
-///
-/// Convenience wrapper over [`order_queue_into`] that allocates fresh
-/// scratch; hot paths should hold an [`OrderScratch`] and call
-/// [`order_queue_into`] directly.
+/// the indices of `jobs`, first to last. `demoted` ids sort after
+/// everything else (the deadlock-breaker demotion of §IV-E1). The
+/// allocating reference for the scheduler's persisted order, on the same
+/// keys.
 pub fn order_queue(
     policy: PolicyKind,
     now: SimTime,
     jobs: &[(&Job, f64)],
     demoted: &dyn Fn(&Job) -> bool,
 ) -> Vec<usize> {
-    let mut scratch = OrderScratch::new();
-    order_queue_into(policy, now, jobs, demoted, &mut scratch);
-    std::mem::take(&mut scratch.idx)
-}
-
-/// Allocation-free variant of [`order_queue`]: the permutation is left in
-/// `scratch.idx` (valid until the next call). Scores and demotion flags are
-/// computed once per job into reused buffers, and the sort is unstable —
-/// safe because the comparator is a total order (the final `(submit, id)`
-/// tiebreak never compares equal for distinct jobs, pinned by
-/// `total_order_makes_unstable_sort_safe` below).
-pub fn order_queue_into(
-    policy: PolicyKind,
-    now: SimTime,
-    jobs: &[(&Job, f64)],
-    demoted: &dyn Fn(&Job) -> bool,
-    scratch: &mut OrderScratch,
-) {
-    order_jobs_into(
-        policy,
-        now,
-        jobs.iter().map(|&(job, boost)| (job, boost, demoted(job))),
-        scratch,
-    );
-}
-
-/// Iterator-input variant of [`order_queue_into`]: each item is
-/// `(job, boost, demoted)`. The scheduler's hot path feeds its queue
-/// straight from its own state maps through this, so ordering a queue of
-/// steady-state depth allocates nothing at all.
-pub fn order_jobs_into<'a>(
-    policy: PolicyKind,
-    now: SimTime,
-    jobs: impl IntoIterator<Item = (&'a Job, f64, bool)>,
-    scratch: &mut OrderScratch,
-) {
-    scratch.idx.clear();
-    scratch.scores.clear();
-    scratch.demoted.clear();
-    scratch.keys.clear();
-    for (i, (job, boost, demoted)) in jobs.into_iter().enumerate() {
-        scratch.idx.push(i);
-        scratch
-            .scores
-            .push(policy.score(QueuedView { job, now, boost }));
-        scratch.demoted.push(demoted);
-        scratch.keys.push((job.submit, job.id));
-    }
-    let OrderScratch {
-        idx,
-        scores,
-        demoted,
-        keys,
-    } = scratch;
-    idx.sort_unstable_by(|&a, &b| {
-        demoted[a]
-            .cmp(&demoted[b])
-            .then_with(|| {
-                scores[b]
-                    .partial_cmp(&scores[a])
-                    .expect("scores are finite")
-            })
-            .then_with(|| keys[a].cmp(&keys[b]))
-    });
+    let mut keys: Vec<OrderKey> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, &(job, boost))| {
+            let slot = u32::try_from(i).expect("queue index fits u32");
+            OrderKey::new(policy, now, job, boost, demoted(job), slot)
+        })
+        .collect();
+    sort_keys(&mut keys);
+    keys.iter().map(|k| k.slot as usize).collect()
 }
 
 /// Convenience: a policy-scored wait of `wait` seconds for a job of
@@ -307,9 +286,6 @@ mod tests {
             // Total order ⇒ the permutation is unique ⇒ stable and unstable
             // sorts agree. Verify antisymmetry + totality pairwise against
             // the sorted order: every adjacent pair must be strictly less.
-            let mut scratch = OrderScratch::new();
-            order_queue_into(policy, now, &views, &demoted, &mut scratch);
-            assert_eq!(order, scratch.order(), "wrapper and _into agree");
             for w in order.windows(2) {
                 let (a, b) = (views[w[0]].0, views[w[1]].0);
                 assert_ne!(
@@ -331,35 +307,54 @@ mod tests {
         }
     }
 
+    /// What makes the scheduler's persisted order exact: sorting keys
+    /// from any earlier order (here, the order of an earlier instant, and
+    /// its reverse) gives the permutation a from-scratch sort gives.
     #[test]
-    fn scratch_reuse_reproduces_and_does_not_grow() {
-        let a = job(1, 0, 512, 3_600);
-        let b = job(2, 50, 128, 600);
-        let views = [(&a, 0.0), (&b, 0.0)];
-        let now = SimTime::from_secs(5_000);
-        let mut scratch = OrderScratch::new();
-        order_queue_into(PolicyKind::Wfp, now, &views, &|_| false, &mut scratch);
-        let first: Vec<usize> = scratch.order().to_vec();
-        let caps = (
-            scratch.idx.capacity(),
-            scratch.scores.capacity(),
-            scratch.demoted.capacity(),
-            scratch.keys.capacity(),
-        );
-        for _ in 0..10 {
-            order_queue_into(PolicyKind::Wfp, now, &views, &|_| false, &mut scratch);
-            assert_eq!(scratch.order(), first.as_slice());
+    fn resorting_an_earlier_order_matches_sorting_from_scratch() {
+        let jobs: Vec<Job> = (0..24u64)
+            .map(|i| {
+                job(
+                    i,
+                    (i * 397) % 3_000,
+                    1 + (i * 7) % 64,
+                    60 + (i * 131) % 7_200,
+                )
+            })
+            .collect();
+        let keys_at = |now: u64| -> Vec<OrderKey> {
+            (0u32..)
+                .zip(&jobs)
+                .map(|(slot, j)| {
+                    let demoted = slot % 11 == 3;
+                    OrderKey::new(
+                        PolicyKind::Wfp,
+                        SimTime::from_secs(now),
+                        j,
+                        0.0,
+                        demoted,
+                        slot,
+                    )
+                })
+                .collect()
+        };
+        let mut persisted = keys_at(3_000);
+        sort_keys(&mut persisted);
+        let first: Vec<u32> = persisted.iter().map(|k| k.slot).collect();
+        for now in [3_060, 3_600, 7_200, 86_400] {
+            let mut scratch = keys_at(now);
+            scratch.sort_by(OrderKey::compare);
+            let slots: Vec<u32> = scratch.iter().map(|k| k.slot).collect();
+            assert_ne!(slots, first, "scores must cross by {now}");
+            let mut reversed: Vec<OrderKey> = persisted.iter().rev().copied().collect();
+            for key in persisted.iter_mut().chain(reversed.iter_mut()) {
+                *key = keys_at(now)[key.slot as usize];
+            }
+            sort_keys(&mut persisted);
+            sort_keys(&mut reversed);
+            assert_eq!(persisted, scratch, "at {now}");
+            assert_eq!(reversed, scratch, "at {now}");
         }
-        assert_eq!(
-            caps,
-            (
-                scratch.idx.capacity(),
-                scratch.scores.capacity(),
-                scratch.demoted.capacity(),
-                scratch.keys.capacity()
-            ),
-            "steady-state reuse must not grow the buffers"
-        );
     }
 
     #[test]

@@ -2,7 +2,12 @@
 //! hold / yield / start_held / release_held / try_start_direct / finish
 //! sequences on a flat and on a buddy machine, checked after every step
 //! against a plain model of each job's lifecycle stage.
+//!
+//! It is also the oracle for the queue order the machine keeps between
+//! iterations: at the first pick of every iteration whose head, by a
+//! from-scratch [`order_queue`], fits, `pick_next` must return that head.
 
+use cosched_sched::policy::order_queue;
 use cosched_sched::{AllocatorKind, Candidate, JobStatus, Machine, MachineConfig, PolicyKind};
 use cosched_sim::{SimDuration, SimTime};
 use cosched_workload::{Job, JobId, MachineId};
@@ -26,7 +31,8 @@ enum Op {
     TryDirect(usize),
     /// Finish the `i`-th running job.
     Finish(usize),
-    /// Advance the clock.
+    /// Advance the clock by up to an hour, far enough that the WFP scores
+    /// of jobs queued at different instants cross.
     Advance(u64),
 }
 
@@ -40,7 +46,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             (0usize..8).prop_map(Op::ReleaseHeld),
             (0usize..8).prop_map(Op::TryDirect),
             (0usize..8).prop_map(Op::Finish),
-            (0u64..600).prop_map(Op::Advance),
+            (0u64..3_600).prop_map(Op::Advance),
         ],
         1..150,
     )
@@ -61,11 +67,26 @@ struct Model {
     jobs: BTreeMap<JobId, Modeled>,
     held: Vec<JobId>,
     running: Vec<JobId>,
+    /// When each job was last forced out of a hold (its demotion instant).
+    released_at: BTreeMap<JobId, SimTime>,
 }
 
 impl Model {
     fn set(&mut self, id: JobId, status: JobStatus, charged: u64) {
         self.jobs.insert(id, Modeled { status, charged });
+    }
+
+    /// The queued job a from-scratch policy sort at `now` puts first.
+    fn policy_head(&self, m: &Machine, now: SimTime) -> Option<JobId> {
+        let boost = m.config().yield_priority_boost;
+        let ids: Vec<JobId> = m.queued_jobs().collect();
+        let jobs: Vec<_> = ids.iter().map(|&id| m.job(id).expect("queued")).collect();
+        let views: Vec<_> = (jobs.iter().zip(&ids))
+            .map(|(&job, &id)| (job, m.yields_of(id) as f64 * boost))
+            .collect();
+        let demoted = |job: &Job| self.released_at.get(&job.id) == Some(&now);
+        let order = order_queue(m.config().policy, now, &views, &demoted);
+        order.first().map(|&i| ids[i])
     }
 
     fn check(&self, m: &Machine, pending: Option<&Candidate>) {
@@ -99,6 +120,8 @@ fn run(config: MachineConfig, scale: u64, ops: &[Op]) {
     let mut model = Model::default();
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
+    // Whether the next pick is the first of its iteration.
+    let mut first_pick = true;
     for op in ops {
         match *op {
             Op::Submit(size, secs) => {
@@ -109,9 +132,24 @@ fn run(config: MachineConfig, scale: u64, ops: &[Op]) {
                 m.submit(job, now);
                 model.set(id, JobStatus::Queued, 0);
             }
-            Op::Begin => m.begin_iteration(),
+            Op::Begin => {
+                m.begin_iteration();
+                first_pick = true;
+            }
             Op::Pick(commit) => {
-                let Some(cand) = m.pick_next(now) else {
+                let head = model.policy_head(&m, now);
+                let head = head.filter(|&id| first_pick && m.can_fit(m.job(id).unwrap().size));
+                first_pick = false;
+                let picked = m.pick_next(now);
+                if let Some(head) = head {
+                    let picked = picked.as_ref().map(|c| c.job_id);
+                    assert_eq!(
+                        picked,
+                        Some(head),
+                        "first pick at {now:?} is the policy head"
+                    );
+                }
+                let Some(cand) = picked else {
                     continue;
                 };
                 assert_eq!(m.status(cand.job_id), JobStatus::Queued);
@@ -142,6 +180,7 @@ fn run(config: MachineConfig, scale: u64, ops: &[Op]) {
                 let id = model.held.remove(i % model.held.len());
                 assert!(m.release_held(id, now));
                 model.set(id, JobStatus::Queued, 0);
+                model.released_at.insert(id, now);
             }
             Op::TryDirect(i) => {
                 let queued: Vec<JobId> = m.queued_jobs().collect();
