@@ -160,7 +160,7 @@ where
 
 /// Apply the §IV-E2 enhancements to the configured scheme for this decision,
 /// reporting any modification through `trace`.
-fn effective_scheme(
+pub(crate) fn effective_scheme(
     cfg: &CoschedConfig,
     ctx: &LocalContext<'_>,
     trace: &mut impl FnMut(TraceEvent),

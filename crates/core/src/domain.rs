@@ -7,17 +7,17 @@
 //! commit ([`Domain::commit`]), the §IV-E1 batch release policy
 //! ([`Domain::arm_sweep`], [`Domain::sweep`], [`Domain::release_holds`]),
 //! and submission ([`Domain::submit`]). The coupled simulator
-//! ([`crate::driver`]) drives two domains from its event queue; the live
-//! daemon ([`crate::live`]) wraps one in a mutex and drives it from a clock
-//! over a real transport. Both obey the same rules because they run this
-//! code.
+//! ([`crate::driver`]) drives two domains from its event queue and the k-way
+//! engine ([`crate::nway`]) drives k; the live daemon ([`crate::live`])
+//! wraps one in a mutex and drives it from a clock over a real transport.
+//! All obey the same rules because they run this code.
 //!
 //! State changes record their trace events into the observer passed in.
 //! Engines keep their own bookkeeping (spans) and hook it in where event
 //! order needs it: before a commit's decision events, after each demotion.
 
-use crate::algorithm::{run_job_traced, Decision, LocalContext};
-use crate::config::CoschedConfig;
+use crate::algorithm::{effective_scheme, run_job_traced, Decision, LocalContext};
+use crate::config::{CoschedConfig, Scheme};
 use crate::registry::MateRegistry;
 use cosched_obs::{Observer, TraceEvent};
 use cosched_proto::{MateStatus, ProtoError, Request, Response};
@@ -90,23 +90,26 @@ pub struct Outcome {
 }
 
 impl Ready {
-    /// Run Algorithm 1, issuing protocol calls through `remote`.
-    pub fn decide<R>(&self, mut remote: R) -> Outcome
-    where
-        R: FnMut(&Request) -> Result<Response, ProtoError>,
-    {
-        let ctx = LocalContext {
+    fn ctx(&self) -> LocalContext<'_> {
+        LocalContext {
             job: &self.job,
             candidate_charged: self.cand.charged,
             capacity: self.capacity,
             held_nodes: self.held_nodes,
             yields_so_far: self.yields_so_far,
-        };
+        }
+    }
+
+    /// Run Algorithm 1, issuing protocol calls through `remote`.
+    pub fn decide<R>(&self, mut remote: R) -> Outcome
+    where
+        R: FnMut(&Request) -> Result<Response, ProtoError>,
+    {
         let mut anchored = false;
         let mut shift = None;
         let decision = run_job_traced(
             &self.cfg,
-            &ctx,
+            &self.ctx(),
             |req| {
                 let resp = remote(req);
                 if let (Request::StartJob { .. }, Ok(Response::Started(true))) = (req, &resp) {
@@ -119,6 +122,21 @@ impl Ready {
         Outcome {
             decision,
             anchored,
+            shift,
+        }
+    }
+
+    /// Algorithm 1's wait branch (lines 16–23) for a job whose partners are
+    /// not ready: hold or yield per the local scheme, after the §IV-E2 shift.
+    pub fn wait(&self) -> Outcome {
+        let mut shift = None;
+        let decision = match effective_scheme(&self.cfg, &self.ctx(), &mut |ev| shift = Some(ev)) {
+            Scheme::Hold => Decision::Hold,
+            Scheme::Yield => Decision::Yield,
+        };
+        Outcome {
+            decision,
+            anchored: false,
             shift,
         }
     }

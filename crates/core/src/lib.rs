@@ -24,7 +24,11 @@
 //!   deadlock detection, and a [`driver::SimulationReport`];
 //! * [`live`] — a domain behind a mutex that serves the protocol over a
 //!   real [`cosched_proto::Transport`], demonstrating deployment outside
-//!   the simulator.
+//!   the simulator;
+//! * [`nway`] — the §VI future work on the same domain core: one event loop
+//!   over k domains for co-start groups of k jobs, soft `StartWithin`
+//!   groups and ordered `StartAfter` edges, with one registry of relations
+//!   and one graded report.
 
 pub mod algorithm;
 pub mod config;
@@ -33,11 +37,12 @@ pub mod driver;
 pub mod live;
 pub mod nway;
 pub mod registry;
-pub mod temporal;
 
 pub use algorithm::{run_job, run_job_traced, Decision, LocalContext};
 pub use config::{CoschedConfig, CoupledConfig, Scheme, SchemeCombo};
 pub use domain::SubmitError;
 pub use driver::{CoupledSimulation, RunArtifacts, RunStats, SimulationReport};
-pub use nway::{GroupId, GroupRegistry, NwayConfig, NwayReport, NwaySimulation};
+pub use nway::{
+    Constraint, GroupError, GroupId, GroupRegistry, NwayConfig, NwayReport, NwaySimulation,
+};
 pub use registry::MateRegistry;

@@ -1,48 +1,124 @@
-//! N-way coscheduling — the paper's §VI future work, realized.
+//! The k-way engine: N-way coscheduling and inter-job temporal constraints,
+//! the paper's §VI future work ("extending our algorithm to support N-way
+//! coscheduling on more than two scheduling domains", "more sophisticated
+//! inter-job temporal constraints"), on the domain core of the 2-way
+//! simulator.
 //!
-//! "Further, we will examine the possibility of extending our algorithm to
-//! support N-way coscheduling on more than two scheduling domains." The
-//! motivating NASA hurricane-forecasting workflow runs several coupled
-//! models concurrently across heterogeneous machines; a *group* of k jobs
-//! on k domains must start simultaneously.
+//! [`NwaySimulation`] runs one `Domain` per machine in one event loop, as
+//! [`crate::driver`] does for two: submission, completion, the decision
+//! commit and the §IV-E1 batch release sweep are the domain's, the §IV-E2
+//! scheme shift is Algorithm 1's, and a ready job reads and starts its
+//! partners only through their domains' protocol handlers. One
+//! [`GroupRegistry`] holds every relation:
 //!
-//! The 2-way algorithm generalizes with one addition to the protocol: a
-//! non-committing `CanStart` probe ([`cosched_proto::Request::CanStart`]).
-//! When a group member becomes
-//! ready it queries every other member:
+//! * [`Constraint::CoStart`] groups of k ≥ 2 jobs on k machines start at one
+//!   instant. A ready member asks each partner's domain for its status
+//!   (`GetMateStatus`) and, if queued, whether it could start now
+//!   (`CanStart`). A partner already running or finished means the
+//!   rendezvous is missed: start alone. A partner queued and not startable,
+//!   or not submitted, means hold or yield per the local scheme. Otherwise
+//!   commit: `StartJob` each held partner, `TryStartMate` each startable
+//!   one, and start locally, all at this instant. With two members this is
+//!   Algorithm 1, and a run reproduces [`crate::CoupledSimulation`] job for
+//!   job.
+//! * [`Constraint::StartWithin`] groups are soft: the ready member commits
+//!   every partner that is held or startable and never waits.
+//! * [`Constraint::StartAfter`] edges order two jobs on any two machines:
+//!   the successor is not submitted before its predecessor's start plus
+//!   `min_delay`.
 //!
-//! * any status unknown / domain unreachable → start normally (the same
-//!   fault-tolerance rule as 2-way);
-//! * any member already running or finished → the rendezvous is missed,
-//!   start normally;
-//! * otherwise, if **every** other member is either *holding* or *queued
-//!   and startable right now* (`CanStart`), commit the rendezvous: start
-//!   the held ones in place, direct-start the queued ones, start locally —
-//!   all at the same instant;
-//! * otherwise hold or yield per the locally configured scheme, with the
-//!   same enhancements and deadlock breaker as the 2-way driver.
-//!
-//! The check-then-commit sequence is sound because a group has at most one
-//! member per machine (enforced by [`GroupRegistry::insert_group`]), so
-//! committing one member cannot invalidate another's admission; within the
-//! simulator an event dispatch is atomic. Two-phase behaviour in a live
-//! deployment degrades to a retry, exactly like the 2-way pump.
+//! Check-then-commit is sound because a relation has at most one member per
+//! machine, so committing one member cannot invalidate another's admission.
 
-use crate::config::{CoschedConfig, Scheme};
+use crate::algorithm::Decision;
+use crate::config::CoschedConfig;
+use crate::domain::{Domain, Outcome, Ready, Sweep};
+use crate::registry::MateRegistry;
 use cosched_metrics::{JobRecord, MachineSummary};
-use cosched_sched::{JobStatus, Machine, MachineConfig};
+use cosched_obs::{NoopObserver, Observer};
+use cosched_proto::{MateStatus, Request, Response};
+use cosched_sched::{Machine, MachineConfig};
 use cosched_sim::{EventQueue, IdHashMap, IdHashSet, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, MachineId, MateRef, Trace};
+use std::fmt;
+use std::sync::Arc;
 
-/// Identifies a co-start group.
+/// A job on a machine.
+pub type Member = (MachineId, JobId);
+
+/// Identifies a relation in a [`GroupRegistry`]: its insertion index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u64);
 
-/// Registry of N-way co-start groups.
+/// A relation between the starts of jobs on distinct machines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Constraint {
+    /// Every member starts at the same instant (hard).
+    CoStart,
+    /// Members should start within `window` of each other (soft).
+    StartWithin {
+        /// Largest allowed spread of the member starts.
+        window: SimDuration,
+    },
+    /// The successor (second member) starts within `[start + min_delay,
+    /// start + max_delay]` of the predecessor (first member). The lower
+    /// bound is enforced; the upper bound is graded.
+    StartAfter {
+        /// Earliest successor start, relative to the predecessor's.
+        min_delay: SimDuration,
+        /// Latest desired successor start, relative to the predecessor's.
+        max_delay: SimDuration,
+    },
+}
+
+/// Why a relation or a simulation was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GroupError {
+    /// A group needs at least two members, a `StartAfter` edge exactly two
+    /// (the count given).
+    MemberCount(usize),
+    /// Two members of one relation are on this machine.
+    SameMachine(MachineId),
+    /// The job is already in a `CoStart` or `StartWithin` group.
+    AlreadyGrouped(MachineId, JobId),
+    /// The job would have two decision-driving roles: group member and
+    /// `StartAfter` successor exclude each other, and a job succeeds at
+    /// most one predecessor.
+    TwoDrivingRoles(MachineId, JobId),
+    /// The config has this many machines, but not as many coscheduling
+    /// configs and traces.
+    Arity(usize),
+    /// The trace in this slot is not for the machine the config puts there.
+    TraceOrder(usize),
+    /// A relation member is not in its machine's trace.
+    MissingMember(MachineId, JobId),
+}
+
+impl fmt::Display for GroupError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::MemberCount(n) => write!(f, "a relation cannot have {n} members"),
+            Self::SameMachine(m) => write!(f, "a relation has two members on {m}"),
+            Self::AlreadyGrouped(m, j) => write!(f, "{m}/{j} is already in a group"),
+            Self::TwoDrivingRoles(m, j) => write!(f, "{m}/{j} has two decision-driving roles"),
+            Self::Arity(n) => write!(f, "{n} machines need as many cosched configs and traces"),
+            Self::TraceOrder(slot) => write!(f, "trace {slot} is not for machine {slot}'s config"),
+            Self::MissingMember(m, j) => write!(f, "member {m}/{j} is missing from its trace"),
+        }
+    }
+}
+
+impl std::error::Error for GroupError {}
+
+/// Every relation of a k-way run.
 #[derive(Debug, Clone, Default)]
 pub struct GroupRegistry {
-    member_of: IdHashMap<(MachineId, JobId), GroupId>,
-    groups: IdHashMap<GroupId, Vec<(MachineId, JobId)>>,
+    relations: Vec<(Constraint, Vec<Member>)>,
+    /// The relation deciding each job's start: its group, or the edge it is
+    /// the successor of.
+    driving: IdHashMap<Member, GroupId>,
+    /// `StartAfter` successors and their `min_delay`, by predecessor.
+    after: IdHashMap<Member, Vec<(Member, SimDuration)>>,
 }
 
 impl GroupRegistry {
@@ -51,115 +127,140 @@ impl GroupRegistry {
         Self::default()
     }
 
-    /// Register a co-start group.
-    ///
-    /// # Panics
-    /// Panics if the group has fewer than two members, two members on the
-    /// same machine, or a member already in another group.
-    pub fn insert_group(&mut self, id: GroupId, members: Vec<(MachineId, JobId)>) {
-        assert!(members.len() >= 2, "a group needs at least two members");
-        let mut machines = IdHashSet::default();
-        for &(m, j) in &members {
-            assert!(machines.insert(m), "group {id:?} has two members on {m}");
-            let prev = self.member_of.insert((m, j), id);
-            assert!(prev.is_none(), "{m}/{j} is already in a group");
+    /// Register a relation: a group of two or more members, or a
+    /// `StartAfter` edge `[predecessor, successor]`. Members must be on
+    /// distinct machines. Nothing is registered on error.
+    pub fn insert(
+        &mut self,
+        constraint: Constraint,
+        members: Vec<Member>,
+    ) -> Result<GroupId, GroupError> {
+        let edge = matches!(constraint, Constraint::StartAfter { .. });
+        if members.len() < 2 || (edge && members.len() != 2) {
+            return Err(GroupError::MemberCount(members.len()));
         }
-        self.groups.insert(id, members);
-    }
-
-    /// The group a job belongs to, if any.
-    pub fn group_of(&self, machine: MachineId, job: JobId) -> Option<GroupId> {
-        self.member_of.get(&(machine, job)).copied()
-    }
-
-    /// A group's members.
-    pub fn members(&self, id: GroupId) -> &[(MachineId, JobId)] {
-        self.groups.get(&id).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True if no groups are registered.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Stamp ring mate references onto the traces so per-job records carry
-    /// the `paired` flag (each member points at the next member in the
-    /// group, cyclically). Purely for metrics; the driver consults the
-    /// registry, not the rings.
-    ///
-    /// # Panics
-    /// Panics if a member is missing from its trace.
-    pub fn stamp_rings(&self, traces: &mut [Trace]) {
-        let index: IdHashMap<MachineId, usize> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.machine(), i))
-            .collect();
-        for members in self.groups.values() {
-            for (k, &(m, j)) in members.iter().enumerate() {
-                let (nm, nj) = members[(k + 1) % members.len()];
-                let t = &mut traces[index[&m]];
-                let job = t
-                    .jobs_mut()
-                    .iter_mut()
-                    .find(|job| job.id == j)
-                    .unwrap_or_else(|| panic!("group member {m}/{j} missing from trace"));
-                job.mate = Some(MateRef {
-                    machine: nm,
-                    job: nj,
+        let mut machines = IdHashSet::default();
+        if let Some(&(m, _)) = members.iter().find(|&&(m, _)| !machines.insert(m)) {
+            return Err(GroupError::SameMachine(m));
+        }
+        // A group drives every member's start, an edge only its successor's.
+        let drives = if edge { &members[1..] } else { &members[..] };
+        for &(m, j) in drives {
+            if let Some(&id) = self.driving.get(&(m, j)) {
+                let grouped = !edge && !self.is_edge(id);
+                return Err(if grouped {
+                    GroupError::AlreadyGrouped(m, j)
+                } else {
+                    GroupError::TwoDrivingRoles(m, j)
                 });
             }
         }
+        let id = GroupId(self.relations.len() as u64);
+        for &member in drives {
+            self.driving.insert(member, id);
+        }
+        if let Constraint::StartAfter { min_delay, .. } = constraint {
+            let successors = self.after.entry(members[0]).or_default();
+            successors.push((members[1], min_delay));
+        }
+        self.relations.push((constraint, members));
+        Ok(id)
+    }
+
+    /// The relation deciding `job`'s start: its group, or the `StartAfter`
+    /// edge it is the successor of.
+    pub fn group_of(&self, machine: MachineId, job: JobId) -> Option<GroupId> {
+        self.driving.get(&(machine, job)).copied()
+    }
+
+    /// A relation's members (an edge lists its predecessor first); empty
+    /// for an unknown id.
+    pub fn members(&self, id: GroupId) -> &[Member] {
+        self.get(id).map_or(&[], |(_, members)| members)
+    }
+
+    /// A relation's constraint.
+    pub fn constraint(&self, id: GroupId) -> Option<Constraint> {
+        self.get(id).map(|&(c, _)| c)
+    }
+
+    /// Number of relations.
+    pub fn len(&self) -> usize {
+        self.relations.len()
+    }
+
+    /// True if no relations are registered.
+    pub fn is_empty(&self) -> bool {
+        self.relations.is_empty()
+    }
+
+    fn get(&self, id: GroupId) -> Option<&(Constraint, Vec<Member>)> {
+        self.relations.get(id.0 as usize)
+    }
+
+    fn is_edge(&self, id: GroupId) -> bool {
+        matches!(self.constraint(id), Some(Constraint::StartAfter { .. }))
+    }
+
+    /// The relation deciding `member`'s start.
+    fn driving(&self, member: Member) -> Option<&(Constraint, Vec<Member>)> {
+        self.get(*self.driving.get(&member)?)
+    }
+
+    /// The member after `member` in its group, cyclically: the mate its
+    /// domain reports. Edge endpoints have no mate.
+    fn ring_mate(&self, member: Member) -> Option<Member> {
+        let id = *self.driving.get(&member)?;
+        if self.is_edge(id) {
+            return None;
+        }
+        let members = self.members(id);
+        let i = members.iter().position(|&x| x == member)?;
+        Some(members[(i + 1) % members.len()])
     }
 }
 
-/// Configuration of an N-machine coupled system.
+/// Configuration of a k-machine coupled system.
 #[derive(Debug, Clone)]
 pub struct NwayConfig {
     /// One resource-manager configuration per machine.
     pub machines: Vec<MachineConfig>,
     /// One local coscheduling configuration per machine.
     pub cosched: Vec<CoschedConfig>,
-    /// Event-loop safety valve.
+    /// Event-loop safety valve: the run stops, `aborted`, after this many
+    /// events.
     pub max_events: u64,
 }
 
-/// What to do with a ready group member.
+/// How one relation turned out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NDecision {
-    /// Start now (rendezvous committed, missed, or job is ungrouped).
-    Start,
-    /// Wait under the given scheme.
-    Wait(Scheme),
+pub struct Grade {
+    /// The relation.
+    pub id: GroupId,
+    /// Its constraint.
+    pub constraint: Constraint,
+    /// Latest minus earliest member start. For an edge this is the
+    /// successor's start minus the predecessor's: the gate keeps the
+    /// successor from starting first.
+    pub offset: SimDuration,
+    /// Whether the constraint held.
+    pub satisfied: bool,
 }
 
-/// Events of the N-way simulation.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Arrival { m: usize, idx: usize },
-    JobEnd { m: usize, job: JobId },
-    ReleaseSweep { m: usize },
-}
-
-/// Outcome of an N-way run.
+/// Outcome of a k-way run.
 #[derive(Debug, Clone)]
 pub struct NwayReport {
     /// Per-machine records.
     pub records: Vec<Vec<JobRecord>>,
     /// Per-machine summaries.
     pub summaries: Vec<MachineSummary>,
-    /// Per-group spread: latest start − earliest start among members.
-    pub group_spreads: Vec<SimDuration>,
+    /// One grade per relation whose members all finished, in id order.
+    pub grades: Vec<Grade>,
     /// True if the queue drained with jobs stuck.
     pub deadlocked: bool,
     /// True if `max_events` tripped.
     pub aborted: bool,
-    /// Forced hold releases.
+    /// Holds the release sweeps force-released.
     pub forced_releases: u64,
     /// Events dispatched.
     pub events: u64,
@@ -168,317 +269,348 @@ pub struct NwayReport {
 }
 
 impl NwayReport {
-    /// Every group started simultaneously.
-    pub fn all_groups_synchronized(&self) -> bool {
-        self.group_spreads.iter().all(|d| d.is_zero())
+    /// Every graded relation held.
+    pub fn all_satisfied(&self) -> bool {
+        self.grades.iter().all(|g| g.satisfied)
+    }
+
+    /// Number of graded relations that did not hold.
+    pub fn violations(&self) -> usize {
+        self.grades.iter().filter(|g| !g.satisfied).count()
     }
 }
 
-/// The N-machine coupled simulator.
-pub struct NwaySimulation {
+/// Events of the k-way simulation.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// Trace job `idx` arrives at machine `m` (again, when a gated
+    /// successor's gate opens).
+    Arrival { m: usize, idx: usize },
+    /// A running job completes.
+    JobEnd { m: usize, job: JobId },
+    /// Machine `m`'s armed release sweep falls due.
+    ReleaseSweep { m: usize },
+}
+
+/// The k-machine coupled simulator, generic over an [`Observer`] of the
+/// domains' trace events like [`crate::CoupledSimulation`].
+pub struct NwaySimulation<O: Observer = NoopObserver> {
     config: NwayConfig,
-    machines: Vec<Machine>,
+    domains: Vec<Domain>,
     jobs: Vec<Vec<Job>>,
     registry: GroupRegistry,
+    /// Machine id → domain index.
+    index: IdHashMap<MachineId, usize>,
     queue: EventQueue<Event>,
     now: SimTime,
     events: u64,
     forced_releases: u64,
-    sweep_armed: Vec<bool>,
-    /// Machine-id → index.
-    index: IdHashMap<MachineId, usize>,
+    /// When each `StartAfter` successor may be submitted, known once its
+    /// predecessor started.
+    opens: IdHashMap<Member, SimTime>,
+    /// Successors that arrived before their predecessor started: (domain,
+    /// trace position).
+    parked: IdHashMap<Member, (usize, usize)>,
+    observer: O,
 }
 
 impl NwaySimulation {
-    /// Build from config, traces (one per machine, same order), and groups.
-    /// Ring mate references are stamped automatically for metrics.
-    ///
-    /// # Panics
-    /// Panics on config/trace arity mismatch or invalid group membership.
-    pub fn new(config: NwayConfig, mut traces: Vec<Trace>, registry: GroupRegistry) -> Self {
-        assert_eq!(config.machines.len(), traces.len(), "one trace per machine");
-        assert_eq!(
-            config.machines.len(),
-            config.cosched.len(),
-            "one cosched config per machine"
-        );
-        assert!(
-            config.machines.len() >= 2,
-            "an N-way system needs at least two machines"
-        );
-        for (cfg, t) in config.machines.iter().zip(&traces) {
-            assert_eq!(
-                cfg.machine,
-                t.machine(),
-                "trace order must match machine order"
-            );
+    /// Build from config, traces (one per machine, in config order), and
+    /// relations.
+    pub fn new(
+        config: NwayConfig,
+        traces: Vec<Trace>,
+        registry: GroupRegistry,
+    ) -> Result<Self, GroupError> {
+        Self::with_observer(config, traces, registry, NoopObserver)
+    }
+}
+
+impl<O: Observer> NwaySimulation<O> {
+    /// [`NwaySimulation::new`] with the domains' trace events fed to
+    /// `observer`. The registry is the only source of mates: each group
+    /// member is mated to the next one in its ring, so records and events
+    /// flag it paired, and every other job is unpaired.
+    pub fn with_observer(
+        config: NwayConfig,
+        mut traces: Vec<Trace>,
+        registry: GroupRegistry,
+        observer: O,
+    ) -> Result<Self, GroupError> {
+        let k = config.machines.len();
+        if config.cosched.len() != k || traces.len() != k {
+            return Err(GroupError::Arity(k));
         }
-        registry.stamp_rings(&mut traces);
-        let machines: Vec<Machine> = config
-            .machines
-            .iter()
-            .map(|c| Machine::new(c.clone()))
+        let order = config.machines.iter().zip(&traces);
+        if let Some(slot) = order.map(|(c, t)| c.machine != t.machine()).position(|x| x) {
+            return Err(GroupError::TraceOrder(slot));
+        }
+        let mut mates = MateRegistry::new();
+        let mut present = IdHashSet::default();
+        for t in &mut traces {
+            let machine = t.machine();
+            for job in t.jobs_mut() {
+                let mate = registry.ring_mate((machine, job.id));
+                if let Some(mate) = mate {
+                    mates.link((machine, job.id), mate);
+                }
+                job.mate = mate.map(|(machine, job)| MateRef { machine, job });
+                present.insert((machine, job.id));
+            }
+        }
+        let mut members = registry.relations.iter().flat_map(|(_, m)| m);
+        if let Some(&(m, j)) = members.find(|x| !present.contains(x)) {
+            return Err(GroupError::MissingMember(m, j));
+        }
+        let mates = Arc::new(mates);
+        let jobs: Vec<Vec<Job>> = traces.into_iter().map(Trace::into_jobs).collect();
+        let mut queue = EventQueue::new();
+        for (m, jobs) in jobs.iter().enumerate() {
+            for (idx, job) in jobs.iter().enumerate() {
+                queue.push(job.submit, Event::Arrival { m, idx });
+            }
+        }
+        let domains = (0..k)
+            .map(|m| {
+                let mut machine = Machine::new(config.machines[m].clone());
+                machine.reserve(jobs[m].len());
+                // Partners come from the group registry, never from
+                // `GetMateJob`, so the peer is only nominal.
+                let peer = config.machines[(m + 1) % k].machine;
+                Domain::new(machine, config.cosched[m].clone(), mates.clone(), peer, m)
+            })
             .collect();
-        let index = config
-            .machines
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.machine, i))
-            .collect();
-        let n = machines.len();
-        NwaySimulation {
+        Ok(NwaySimulation {
+            index: (config.machines.iter().enumerate())
+                .map(|(i, c)| (c.machine, i))
+                .collect(),
             config,
-            machines,
-            jobs: traces.into_iter().map(Trace::into_jobs).collect(),
+            domains,
+            jobs,
             registry,
-            queue: EventQueue::new(),
+            queue,
             now: SimTime::ZERO,
             events: 0,
             forced_releases: 0,
-            sweep_armed: vec![false; n],
-            index,
-        }
+            opens: IdHashMap::default(),
+            parked: IdHashMap::default(),
+            observer,
+        })
     }
 
     /// Run to completion.
-    pub fn run(mut self) -> NwayReport {
-        for m in 0..self.jobs.len() {
-            for idx in 0..self.jobs[m].len() {
-                let t = self.jobs[m][idx].submit;
-                self.queue.push(t, Event::Arrival { m, idx });
-            }
-        }
+    pub fn run(self) -> NwayReport {
+        self.run_observed().0
+    }
+
+    /// Run to completion; also return the observer (to read back a sink).
+    pub fn run_observed(mut self) -> (NwayReport, O) {
         let mut aborted = false;
         while let Some(ev) = self.queue.pop() {
             if self.events >= self.config.max_events {
                 aborted = true;
                 break;
             }
-            self.now = ev.time;
+            let now = ev.time;
+            self.now = now;
             self.events += 1;
             match ev.event {
-                Event::Arrival { m, idx } => {
-                    let job = self.jobs[m][idx].clone();
-                    self.machines[m].submit(job, self.now);
-                    self.iterate(m);
-                }
+                Event::Arrival { m, idx } => self.arrive(m, idx),
                 Event::JobEnd { m, job } => {
-                    self.machines[m].finish(job, self.now);
+                    self.domains[m].finish(job, now, &mut self.observer);
                     self.iterate(m);
                 }
-                Event::ReleaseSweep { m } => self.sweep(m),
+                Event::ReleaseSweep { m } => match self.domains[m].sweep(now) {
+                    Sweep::Idle => {}
+                    Sweep::Rearmed(at) => {
+                        self.queue.push(at, Event::ReleaseSweep { m });
+                    }
+                    Sweep::Release => {
+                        let domain = &mut self.domains[m];
+                        let released = domain.release_holds(now, &mut self.observer, |_, _| {});
+                        self.forced_releases += released as u64;
+                        self.iterate(m);
+                    }
+                },
             }
         }
         self.report(aborted)
     }
 
-    fn iterate(&mut self, m: usize) {
-        self.machines[m].begin_iteration();
-        while let Some(cand) = self.machines[m].pick_next(self.now) {
-            let job_id = cand.job_id;
-            match self.decide(m, job_id, cand.charged) {
-                NDecision::Start => {
-                    let end = self.machines[m].start(cand, self.now);
-                    self.queue.push(end, Event::JobEnd { m, job: job_id });
+    /// Trace job `idx` arrives at machine `m`. A `StartAfter` successor
+    /// waits until its predecessor's start plus `min_delay`.
+    fn arrive(&mut self, m: usize, idx: usize) {
+        let job = self.jobs[m][idx].clone();
+        let me = (self.config.machines[m].machine, job.id);
+        if let Some((Constraint::StartAfter { .. }, _)) = self.registry.driving(me) {
+            match self.opens.get(&me) {
+                Some(&at) if at > self.now => {
+                    self.queue.push(at, Event::Arrival { m, idx });
+                    return;
                 }
-                NDecision::Wait(Scheme::Hold) => self.machines[m].hold(cand, self.now),
-                NDecision::Wait(Scheme::Yield) => self.machines[m].yield_job(cand, self.now),
-            }
-        }
-        self.arm_sweep_if_needed(m);
-    }
-
-    /// Decide the fate of ready job `job` on machine `m`. Starting the
-    /// *remote* group members is a side effect of a committed rendezvous;
-    /// the local start is the caller's (it owns the candidate).
-    fn decide(&mut self, m: usize, job: JobId, charged: u64) -> NDecision {
-        let cfg = &self.config.cosched[m];
-        if !cfg.enabled {
-            return NDecision::Start;
-        }
-        let Some(gid) = self.registry.group_of(self.config.machines[m].machine, job) else {
-            return NDecision::Start;
-        };
-        let my_machine = self.config.machines[m].machine;
-        let others: Vec<(usize, JobId)> = self
-            .registry
-            .members(gid)
-            .iter()
-            .filter(|&&(mm, _)| mm != my_machine)
-            .map(|&(mm, jj)| (self.index[&mm], jj))
-            .collect();
-
-        // Phase 1: check.
-        let mut held = Vec::new();
-        let mut startable = Vec::new();
-        for &(om, oj) in &others {
-            match self.machines[om].status(oj) {
-                JobStatus::Held => held.push((om, oj)),
-                JobStatus::Queued if self.machines[om].can_start_direct(oj, self.now) => {
-                    startable.push((om, oj));
-                }
-                JobStatus::Queued | JobStatus::Unsubmitted => {
-                    // Someone is not ready: wait per local scheme (with the
-                    // §IV-E2 modifications).
-                    return NDecision::Wait(self.effective_scheme(m, job, charged));
-                }
-                JobStatus::Running | JobStatus::Finished => {
-                    // Missed rendezvous: run.
-                    return NDecision::Start;
+                Some(_) => {}
+                None => {
+                    self.parked.insert(me, (m, idx));
+                    return;
                 }
             }
         }
-        // Phase 2: commit — every other member is held or startable.
-        for (om, oj) in held {
-            if let Some(end) = self.machines[om].start_held(oj, self.now) {
-                self.queue.push(end, Event::JobEnd { m: om, job: oj });
-            }
-        }
-        for (om, oj) in startable {
-            if let Some(end) = self.machines[om].try_start_direct(oj, self.now) {
-                self.queue.push(end, Event::JobEnd { m: om, job: oj });
-            }
-        }
-        NDecision::Start
-    }
-
-    fn effective_scheme(&self, m: usize, job: JobId, charged: u64) -> Scheme {
-        let cfg = &self.config.cosched[m];
-        match cfg.scheme {
-            Scheme::Hold => {
-                if let Some(cap) = cfg.max_held_fraction {
-                    let would = (self.machines[m].held_nodes() + charged) as f64
-                        / self.config.machines[m].capacity as f64;
-                    if would > cap {
-                        return Scheme::Yield;
-                    }
-                }
-                Scheme::Hold
-            }
-            Scheme::Yield => {
-                if let Some(max) = cfg.max_yields_before_hold {
-                    if self.machines[m].yields_of(job) >= max {
-                        return Scheme::Hold;
-                    }
-                }
-                Scheme::Yield
-            }
-        }
-    }
-
-    fn sweep(&mut self, m: usize) {
-        self.sweep_armed[m] = false;
-        let Some(period) = self.config.cosched[m].release_period else {
-            return;
-        };
-        let held = self.machines[m].held_nodes();
-        let free = self.machines[m].free_nodes();
-        let blocked = held > 0
-            && self.machines[m].queued_jobs().any(|id| {
-                let size = self.machines[m].job(id).map_or(0, |j| j.size);
-                size <= free + held && !self.machines[m].can_fit(size)
-            });
-        if !blocked {
-            if !self.machines[m].held_jobs().is_empty() {
-                self.queue
-                    .push(self.now + period, Event::ReleaseSweep { m });
-                self.sweep_armed[m] = true;
-            }
-            return;
-        }
-        let matured: Vec<JobId> = self.machines[m]
-            .held_jobs()
-            .iter()
-            .filter(|&&job| {
-                self.machines[m]
-                    .hold_since(job)
-                    .is_some_and(|since| since + period <= self.now)
-            })
-            .copied()
-            .collect();
-        for job in matured {
-            self.machines[m].release_held(job, self.now);
-            self.forced_releases += 1;
-        }
+        self.domains[m]
+            .submit(job, self.now, &mut self.observer)
+            .expect("trace jobs are unique and addressed to their machine");
         self.iterate(m);
-        self.arm_sweep_if_needed(m);
     }
 
-    fn arm_sweep_if_needed(&mut self, m: usize) {
-        if self.sweep_armed[m] {
-            return;
+    /// One scheduling iteration on machine `m`.
+    fn iterate(&mut self, m: usize) {
+        let now = self.now;
+        self.domains[m].machine_mut().begin_iteration();
+        while let Some(ready) = self.domains[m].pick(now) {
+            let outcome = self.decide(m, &ready);
+            let id = ready.job.id;
+            let obs = &mut self.observer;
+            if let Some(end) = self.domains[m].commit(ready, outcome, now, obs, |_, _, _| {}) {
+                self.queue.push(end, Event::JobEnd { m, job: id });
+                self.started(m, id);
+            }
         }
-        let Some(period) = self.config.cosched[m].release_period else {
-            return;
-        };
-        let oldest = self.machines[m]
-            .held_jobs()
-            .iter()
-            .filter_map(|&job| self.machines[m].hold_since(job))
-            .min();
-        if let Some(since) = oldest {
-            let at = (since + period).max(self.now);
+        if let Some(at) = self.domains[m].arm_sweep(now) {
             self.queue.push(at, Event::ReleaseSweep { m });
-            self.sweep_armed[m] = true;
         }
     }
 
-    fn report(mut self, aborted: bool) -> NwayReport {
-        let horizon = self.now.max(SimTime::from_secs(1));
-        let n = self.machines.len();
-        let mut records = Vec::with_capacity(n);
-        let mut summaries = Vec::with_capacity(n);
-        let mut unfinished = 0usize;
-        for m in 0..n {
-            let held_ns = self.machines[m].held_node_seconds(horizon);
-            unfinished += self.jobs[m].len() - self.machines[m].records().len();
-            let recs = self.machines[m].take_records();
+    /// Decide a ready job's fate, starting its group partners on a
+    /// committed rendezvous.
+    fn decide(&mut self, m: usize, ready: &Ready) -> Outcome {
+        let me = (self.config.machines[m].machine, ready.job.id);
+        let relation = (self.registry.driving(me)).filter(|_| self.config.cosched[m].enabled);
+        let (hard, others): (bool, Vec<(usize, JobId)>) = match relation {
+            // A successor's gate already held it back: it just starts.
+            None | Some((Constraint::StartAfter { .. }, _)) => (false, Vec::new()),
+            Some((c, members)) => (
+                *c == Constraint::CoStart,
+                (members.iter().filter(|&&x| x != me))
+                    .map(|&(machine, job)| (self.index[&machine], job))
+                    .collect(),
+            ),
+        };
+        let mut commits = Vec::new();
+        for (om, job) in others {
+            let req = match self.call(om, &Request::GetMateStatus { job }).status() {
+                MateStatus::Holding => Request::StartJob { job },
+                MateStatus::Queuing
+                    if self.call(om, &Request::CanStart { job }) == Response::CanStart(true) =>
+                {
+                    Request::TryStartMate { job }
+                }
+                MateStatus::Queuing | MateStatus::Unsubmitted if hard => return ready.wait(),
+                // Running or finished: the rendezvous is missed; start alone.
+                _ if hard => {
+                    commits.clear();
+                    break;
+                }
+                _ => continue,
+            };
+            commits.push((om, job, req));
+        }
+        let (mut mate_started, mut anchored) = (None, false);
+        for (om, job, req) in commits {
+            if self.call(om, &req).started() {
+                mate_started = mate_started.or(Some(job));
+                anchored |= matches!(req, Request::StartJob { .. });
+            }
+        }
+        Outcome {
+            decision: Decision::Start { mate_started },
+            anchored,
+            shift: None,
+        }
+    }
+
+    /// Deliver `req` to machine `m`'s protocol handler and schedule the end
+    /// of any job it started.
+    fn call(&mut self, m: usize, req: &Request) -> Response {
+        let (response, started) = self.domains[m].handle(req, self.now, &mut self.observer);
+        if let Some((job, end)) = started {
+            self.queue.push(end, Event::JobEnd { m, job });
+            self.started(m, job);
+        }
+        response
+    }
+
+    /// `job` started on machine `m`: open its successors' gates.
+    fn started(&mut self, m: usize, job: JobId) {
+        let me = (self.config.machines[m].machine, job);
+        for &(successor, min_delay) in self.registry.after.get(&me).into_iter().flatten() {
+            let at = self.now + min_delay;
+            self.opens.insert(successor, at);
+            if let Some((sm, idx)) = self.parked.remove(&successor) {
+                self.queue.push(at, Event::Arrival { m: sm, idx });
+            }
+        }
+    }
+
+    fn report(mut self, aborted: bool) -> (NwayReport, O) {
+        let horizon = self.now;
+        let (mut records, mut summaries, mut unfinished) = (Vec::new(), Vec::new(), 0);
+        for (m, domain) in self.domains.iter_mut().enumerate() {
+            unfinished += self.jobs[m].len() - domain.machine().records().len();
+            let recs = domain.machine_mut().take_records();
+            let machine = &self.config.machines[m];
             summaries.push(MachineSummary::from_records(
-                self.config.machines[m].name.clone(),
+                machine.name.clone(),
                 &recs,
-                self.config.machines[m].capacity,
-                horizon,
-                held_ns,
+                machine.capacity,
+                horizon.max(SimTime::from_secs(1)),
+                domain.machine().held_node_seconds(horizon),
             ));
             records.push(recs);
         }
-        let mut starts: IdHashMap<(MachineId, JobId), SimTime> = IdHashMap::default();
-        for (m, recs) in records.iter().enumerate() {
-            for r in recs {
-                starts.insert((self.config.machines[m].machine, r.id), r.start);
-            }
+        let starts: IdHashMap<Member, SimTime> = (records.iter().flatten())
+            .map(|r| ((r.machine, r.id), r.start))
+            .collect();
+        let mut grades = Vec::new();
+        for (i, &(constraint, ref members)) in self.registry.relations.iter().enumerate() {
+            let finished = members.iter().map(|m| starts.get(m).copied());
+            let Some(starts) = finished.collect::<Option<Vec<_>>>() else {
+                continue;
+            };
+            let (lo, hi) = (starts.iter().min(), starts.iter().max());
+            let offset = hi.zip(lo).map_or(SimDuration::ZERO, |(hi, lo)| *hi - *lo);
+            let satisfied = match constraint {
+                Constraint::CoStart => offset.is_zero(),
+                Constraint::StartWithin { window } => offset <= window,
+                Constraint::StartAfter {
+                    min_delay,
+                    max_delay,
+                } => (starts[0] + min_delay..=starts[0] + max_delay).contains(&starts[1]),
+            };
+            grades.push(Grade {
+                id: GroupId(i as u64),
+                constraint,
+                offset,
+                satisfied,
+            });
         }
-        let mut group_spreads = Vec::new();
-        for gid in self.registry.groups.keys() {
-            let member_starts: Vec<SimTime> = self
-                .registry
-                .members(*gid)
-                .iter()
-                .filter_map(|&(mm, jj)| starts.get(&(mm, jj)).copied())
-                .collect();
-            if member_starts.len() == self.registry.members(*gid).len() {
-                let min = member_starts.iter().min().copied().unwrap_or(SimTime::ZERO);
-                let max = member_starts.iter().max().copied().unwrap_or(SimTime::ZERO);
-                group_spreads.push(max - min);
-            }
-        }
-        group_spreads.sort();
-        NwayReport {
+        self.observer.flush();
+        let report = NwayReport {
             records,
             summaries,
-            group_spreads,
+            grades,
             deadlocked: !aborted && unfinished > 0,
             aborted,
             forced_releases: self.forced_releases,
             events: self.events,
-            horizon: self.now,
-        }
+            horizon,
+        };
+        (report, self.observer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Scheme;
     use cosched_workload::Trace;
 
     fn job(machine: usize, id: u64, submit: u64, size: u64, runtime: u64) -> Job {
@@ -504,17 +636,23 @@ mod tests {
         }
     }
 
+    fn members(list: &[(usize, u64)]) -> Vec<Member> {
+        list.iter()
+            .map(|&(m, j)| (MachineId(m), JobId(j)))
+            .collect()
+    }
+
+    fn run(cfg: NwayConfig, traces: Vec<Trace>, reg: GroupRegistry) -> NwayReport {
+        NwaySimulation::new(cfg, traces, reg)
+            .expect("valid run")
+            .run()
+    }
+
     /// Three machines; a 3-way group plus a filler that delays machine 2.
     fn three_way_traces() -> (Vec<Trace>, GroupRegistry) {
         let mut reg = GroupRegistry::new();
-        reg.insert_group(
-            GroupId(1),
-            vec![
-                (MachineId(0), JobId(1)),
-                (MachineId(1), JobId(1)),
-                (MachineId(2), JobId(1)),
-            ],
-        );
+        reg.insert(Constraint::CoStart, members(&[(0, 1), (1, 1), (2, 1)]))
+            .unwrap();
         let traces = vec![
             Trace::from_jobs(MachineId(0), vec![job(0, 1, 0, 40, 600)]),
             Trace::from_jobs(MachineId(1), vec![job(1, 1, 30, 40, 600)]),
@@ -529,14 +667,10 @@ mod tests {
     #[test]
     fn three_way_group_starts_simultaneously_hold() {
         let (traces, reg) = three_way_traces();
-        let report = NwaySimulation::new(config(3, Scheme::Hold), traces, reg).run();
+        let report = run(config(3, Scheme::Hold), traces, reg);
         assert!(!report.deadlocked);
-        assert_eq!(report.group_spreads.len(), 1);
-        assert!(
-            report.all_groups_synchronized(),
-            "spread {:?}",
-            report.group_spreads
-        );
+        assert_eq!(report.grades.len(), 1);
+        assert!(report.all_satisfied(), "grades {:?}", report.grades);
         // Rendezvous gated by machine 2's filler: start at t=300.
         let s0 = report.records[0][0].start;
         assert_eq!(s0, SimTime::from_secs(300));
@@ -545,13 +679,9 @@ mod tests {
     #[test]
     fn three_way_group_starts_simultaneously_yield() {
         let (traces, reg) = three_way_traces();
-        let report = NwaySimulation::new(config(3, Scheme::Yield), traces, reg).run();
+        let report = run(config(3, Scheme::Yield), traces, reg);
         assert!(!report.deadlocked);
-        assert!(
-            report.all_groups_synchronized(),
-            "spread {:?}",
-            report.group_spreads
-        );
+        assert!(report.all_satisfied(), "grades {:?}", report.grades);
         assert_eq!(
             report.summaries.iter().map(|s| s.total_holds).sum::<u64>(),
             0
@@ -562,10 +692,8 @@ mod tests {
     fn five_way_rendezvous() {
         let n = 5;
         let mut reg = GroupRegistry::new();
-        reg.insert_group(
-            GroupId(1),
-            (0..n).map(|m| (MachineId(m), JobId(1))).collect(),
-        );
+        let group = (0..n).map(|m| (MachineId(m), JobId(1))).collect();
+        reg.insert(Constraint::CoStart, group).unwrap();
         let traces: Vec<Trace> = (0..n)
             .map(|m| {
                 let mut jobs = vec![job(m, 1, (m as u64) * 40, 30, 500)];
@@ -576,27 +704,21 @@ mod tests {
                 Trace::from_jobs(MachineId(m), jobs)
             })
             .collect();
-        let report = NwaySimulation::new(config(n, Scheme::Hold), traces, reg).run();
+        let report = run(config(n, Scheme::Hold), traces, reg);
         assert!(!report.deadlocked);
-        assert!(
-            report.all_groups_synchronized(),
-            "spread {:?}",
-            report.group_spreads
-        );
+        assert!(report.all_satisfied(), "grades {:?}", report.grades);
         for recs in &report.records {
             let r = recs.iter().find(|r| r.id == JobId(1)).unwrap();
             assert_eq!(r.start, SimTime::from_secs(777));
-            assert!(r.paired, "ring stamping marks members paired");
+            assert!(r.paired, "ring mates mark members paired");
         }
     }
 
     #[test]
     fn ungrouped_jobs_run_normally() {
         let mut reg = GroupRegistry::new();
-        reg.insert_group(
-            GroupId(1),
-            vec![(MachineId(0), JobId(1)), (MachineId(1), JobId(1))],
-        );
+        reg.insert(Constraint::CoStart, members(&[(0, 1), (1, 1)]))
+            .unwrap();
         let traces = vec![
             Trace::from_jobs(
                 MachineId(0),
@@ -607,7 +729,7 @@ mod tests {
                 vec![job(1, 1, 0, 40, 600), job(1, 2, 5, 10, 100)],
             ),
         ];
-        let report = NwaySimulation::new(config(2, Scheme::Hold), traces, reg).run();
+        let report = run(config(2, Scheme::Hold), traces, reg);
         assert!(!report.deadlocked);
         // Ungrouped job 2 on each machine starts at its submit (room free).
         for m in 0..2 {
@@ -615,7 +737,7 @@ mod tests {
             assert_eq!(r.start, SimTime::from_secs(5));
             assert!(!r.paired);
         }
-        assert!(report.all_groups_synchronized());
+        assert!(report.all_satisfied());
     }
 
     #[test]
@@ -624,12 +746,9 @@ mod tests {
         // cannot fit — a 3-cycle of waits.
         let mut reg = GroupRegistry::new();
         for g in 0..3u64 {
-            let m0 = g as usize;
-            let m1 = (g as usize + 1) % 3;
-            reg.insert_group(
-                GroupId(g),
-                vec![(MachineId(m0), JobId(g)), (MachineId(m1), JobId(g + 10))],
-            );
+            let (m0, m1) = (g as usize, (g as usize + 1) % 3);
+            reg.insert(Constraint::CoStart, members(&[(m0, g), (m1, g + 10)]))
+                .unwrap();
         }
         let traces: Vec<Trace> = (0..3)
             .map(|m| {
@@ -646,59 +765,239 @@ mod tests {
         for c in &mut cfg.cosched {
             c.release_period = None;
         }
-        let report = NwaySimulation::new(cfg, traces.clone(), reg.clone()).run();
+        let report = run(cfg, traces.clone(), reg.clone());
         assert!(
             report.deadlocked,
             "3-cycle must deadlock without the breaker"
         );
         // With it: completes and synchronizes.
-        let report = NwaySimulation::new(config(3, Scheme::Hold), traces, reg).run();
+        let report = run(config(3, Scheme::Hold), traces, reg);
         assert!(!report.deadlocked);
         assert!(report.forced_releases > 0);
-        assert!(
-            report.all_groups_synchronized(),
-            "spreads {:?}",
-            report.group_spreads
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "two members on")]
-    fn group_rejects_two_members_on_one_machine() {
-        let mut reg = GroupRegistry::new();
-        reg.insert_group(
-            GroupId(1),
-            vec![(MachineId(0), JobId(1)), (MachineId(0), JobId(2))],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "already in a group")]
-    fn group_rejects_double_membership() {
-        let mut reg = GroupRegistry::new();
-        reg.insert_group(
-            GroupId(1),
-            vec![(MachineId(0), JobId(1)), (MachineId(1), JobId(1))],
-        );
-        reg.insert_group(
-            GroupId(2),
-            vec![(MachineId(0), JobId(1)), (MachineId(2), JobId(1))],
-        );
+        assert!(report.all_satisfied(), "grades {:?}", report.grades);
     }
 
     #[test]
     fn registry_queries() {
         let mut reg = GroupRegistry::new();
         assert!(reg.is_empty());
-        reg.insert_group(
-            GroupId(7),
-            vec![(MachineId(0), JobId(1)), (MachineId(1), JobId(2))],
-        );
+        let id = reg
+            .insert(Constraint::CoStart, members(&[(0, 1), (1, 2)]))
+            .unwrap();
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.group_of(MachineId(0), JobId(1)), Some(GroupId(7)));
-        assert_eq!(reg.group_of(MachineId(1), JobId(2)), Some(GroupId(7)));
+        assert_eq!(reg.group_of(MachineId(0), JobId(1)), Some(id));
+        assert_eq!(reg.group_of(MachineId(1), JobId(2)), Some(id));
         assert_eq!(reg.group_of(MachineId(1), JobId(1)), None);
-        assert_eq!(reg.members(GroupId(7)).len(), 2);
+        assert_eq!(reg.members(id).len(), 2);
+        assert_eq!(reg.constraint(id), Some(Constraint::CoStart));
         assert!(reg.members(GroupId(99)).is_empty());
+        // An edge drives only its successor; the predecessor may anchor
+        // more edges and belong to a group.
+        let after = Constraint::StartAfter {
+            min_delay: SimDuration::ZERO,
+            max_delay: SimDuration::from_secs(60),
+        };
+        let edge = reg.insert(after, members(&[(0, 1), (2, 5)])).unwrap();
+        reg.insert(after, members(&[(0, 1), (1, 6)])).unwrap();
+        assert_eq!(reg.group_of(MachineId(0), JobId(1)), Some(id));
+        assert_eq!(reg.group_of(MachineId(2), JobId(5)), Some(edge));
+    }
+
+    #[test]
+    fn invalid_relations_and_traces_are_typed_errors() {
+        let mut reg = GroupRegistry::new();
+        let after = Constraint::StartAfter {
+            min_delay: SimDuration::ZERO,
+            max_delay: SimDuration::ZERO,
+        };
+        reg.insert(Constraint::CoStart, members(&[(0, 1), (1, 1)]))
+            .unwrap();
+        reg.insert(after, members(&[(0, 1), (1, 2)])).unwrap();
+        assert_eq!(
+            reg.insert(Constraint::CoStart, members(&[(0, 3)])),
+            Err(GroupError::MemberCount(1))
+        );
+        assert_eq!(
+            reg.insert(after, members(&[(0, 3), (1, 3), (2, 3)])),
+            Err(GroupError::MemberCount(3))
+        );
+        assert_eq!(
+            reg.insert(Constraint::CoStart, members(&[(0, 3), (0, 4)])),
+            Err(GroupError::SameMachine(MachineId(0)))
+        );
+        assert_eq!(
+            reg.insert(Constraint::CoStart, members(&[(2, 1), (0, 1)])),
+            Err(GroupError::AlreadyGrouped(MachineId(0), JobId(1)))
+        );
+        for (constraint, list) in [
+            (Constraint::CoStart, [(2, 1), (1, 2)]),
+            (after, [(2, 1), (1, 2)]),
+            (after, [(2, 1), (1, 1)]),
+        ] {
+            assert_eq!(
+                reg.insert(constraint, members(&list)),
+                Err(GroupError::TwoDrivingRoles(MachineId(1), JobId(list[1].1)))
+            );
+        }
+        assert_eq!(reg.len(), 2, "rejected relations register nothing");
+
+        let traces = || {
+            vec![
+                Trace::from_jobs(MachineId(0), vec![job(0, 1, 0, 10, 100)]),
+                Trace::from_jobs(MachineId(1), vec![job(1, 1, 0, 10, 100)]),
+            ]
+        };
+        let err = |cfg, traces, reg| NwaySimulation::new(cfg, traces, reg).err();
+        let mut short = traces();
+        short.pop();
+        assert_eq!(
+            err(config(2, Scheme::Hold), short, GroupRegistry::new()),
+            Some(GroupError::Arity(2))
+        );
+        let mut swapped = traces();
+        swapped.reverse();
+        assert_eq!(
+            err(config(2, Scheme::Hold), swapped, GroupRegistry::new()),
+            Some(GroupError::TraceOrder(0))
+        );
+        // Job 2 on machine 1 is an edge successor but not in the trace.
+        assert_eq!(
+            err(config(2, Scheme::Hold), traces(), reg),
+            Some(GroupError::MissingMember(MachineId(1), JobId(2)))
+        );
+    }
+
+    fn pair_traces(b_jobs: Vec<Job>, a_runtime: u64) -> Vec<Trace> {
+        vec![
+            Trace::from_jobs(MachineId(0), vec![job(0, 1, 0, 40, a_runtime)]),
+            Trace::from_jobs(MachineId(1), b_jobs),
+        ]
+    }
+
+    /// Machine 0 holds and machine 1 yields, as the constrained pipelines
+    /// run; one relation between job 1 on machine 0 and `b` on machine 1.
+    fn run_pair(traces: Vec<Trace>, constraint: Constraint, b: u64) -> NwayReport {
+        let mut cfg = config(2, Scheme::Hold);
+        cfg.cosched = vec![
+            CoschedConfig::paper(Scheme::Hold),
+            CoschedConfig::paper(Scheme::Yield),
+        ];
+        let mut reg = GroupRegistry::new();
+        reg.insert(constraint, members(&[(0, 1), (1, b)])).unwrap();
+        run(cfg, traces, reg)
+    }
+
+    fn after(min: u64, max: u64) -> Constraint {
+        Constraint::StartAfter {
+            min_delay: SimDuration::from_secs(min),
+            max_delay: SimDuration::from_secs(max),
+        }
+    }
+
+    #[test]
+    fn costart_constraint_behaves_like_coscheduling() {
+        let b = vec![job(1, 9, 0, 100, 300), job(1, 1, 30, 40, 600)];
+        let report = run_pair(pair_traces(b, 600), Constraint::CoStart, 1);
+        assert!(!report.deadlocked);
+        assert!(report.all_satisfied(), "grades {:?}", report.grades);
+        assert_eq!(report.grades[0].offset, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn start_within_lets_first_job_run_and_grades_the_window() {
+        // B is blocked for 300 s; A's job starts immediately. Window 600 s
+        // covers the gap ⇒ satisfied; window 100 s would not.
+        let within = |secs| {
+            let b = vec![job(1, 9, 0, 100, 300), job(1, 1, 10, 40, 600)];
+            let window = SimDuration::from_secs(secs);
+            run_pair(pair_traces(b, 600), Constraint::StartWithin { window }, 1)
+        };
+        let wide = within(600);
+        assert!(!wide.deadlocked);
+        assert_eq!(wide.records[0][0].start, SimTime::ZERO, "A does not block");
+        assert!(wide.all_satisfied(), "{:?}", wide.grades);
+        assert_eq!(wide.grades[0].offset, SimDuration::from_secs(300));
+
+        let narrow = within(100);
+        assert_eq!(
+            narrow.violations(),
+            1,
+            "window too small must be graded violated"
+        );
+    }
+
+    #[test]
+    fn start_after_enforces_lower_bound_and_grades_upper() {
+        // A starts at 0 (free machine); B submitted immediately but must
+        // wait min_delay = 500 s after A's start.
+        let traces = pair_traces(vec![job(1, 1, 5, 40, 600)], 2_000);
+        let report = run_pair(traces, after(500, 1_000), 1);
+        assert!(!report.deadlocked);
+        let (sa, sb) = (report.records[0][0].start, report.records[1][0].start);
+        assert_eq!(
+            sb,
+            SimTime::from_secs(500),
+            "successor gated to start+min_delay"
+        );
+        assert!(report.all_satisfied(), "{:?}", report.grades);
+        assert!(sb >= sa, "the successor never starts first");
+    }
+
+    #[test]
+    fn start_after_with_busy_successor_machine_grades_upper_bound() {
+        // Successor machine blocked for 2000 s ⇒ b starts at 2000, beyond
+        // max_delay 1000 ⇒ violation (monitored, not fatal).
+        let b = vec![job(1, 9, 0, 100, 2_000), job(1, 1, 5, 40, 600)];
+        let report = run_pair(pair_traces(b, 3_000), after(100, 1_000), 1);
+        assert!(!report.deadlocked);
+        assert_eq!(report.violations(), 1);
+        assert_eq!(
+            report.records[1]
+                .iter()
+                .find(|r| r.id == JobId(1))
+                .unwrap()
+                .start,
+            SimTime::from_secs(2_000)
+        );
+    }
+
+    #[test]
+    fn successor_arriving_after_predecessor_started_is_gated_correctly() {
+        // A starts at 0; B arrives at t=800 with min_delay 500 — already
+        // past the threshold, so B runs immediately.
+        let traces = pair_traces(vec![job(1, 1, 800, 40, 600)], 3_000);
+        let report = run_pair(traces, after(500, 2_000), 1);
+        assert_eq!(report.records[1][0].start, SimTime::from_secs(800));
+        assert!(report.all_satisfied());
+    }
+
+    #[test]
+    fn start_after_runs_from_machine_one_to_machine_zero() {
+        // Edges are not tied to machine order: machine 1's job 1 precedes
+        // machine 0's job 1 by at least 200 s.
+        let traces = pair_traces(vec![job(1, 1, 100, 40, 600)], 3_000);
+        let mut reg = GroupRegistry::new();
+        reg.insert(after(200, 400), members(&[(1, 1), (0, 1)]))
+            .unwrap();
+        let report = run(config(2, Scheme::Hold), traces, reg);
+        assert_eq!(report.records[1][0].start, SimTime::from_secs(100));
+        assert_eq!(report.records[0][0].start, SimTime::from_secs(300));
+        assert!(report.all_satisfied());
+    }
+
+    #[test]
+    fn unconstrained_jobs_flow_through() {
+        let traces = vec![
+            Trace::from_jobs(
+                MachineId(0),
+                vec![job(0, 1, 0, 10, 100), job(0, 2, 5, 10, 100)],
+            ),
+            Trace::from_jobs(MachineId(1), vec![job(1, 1, 0, 10, 100)]),
+        ];
+        let report = run(config(2, Scheme::Hold), traces, GroupRegistry::new());
+        assert!(!report.deadlocked);
+        assert_eq!(report.records[0].len(), 2);
+        assert_eq!(report.records[1].len(), 1);
+        assert!(report.grades.is_empty());
     }
 }

@@ -37,20 +37,15 @@ impl MateRegistry {
 
     /// Register one pair explicitly (both directions).
     pub fn insert_pair(&mut self, a: (MachineId, JobId), b: (MachineId, JobId)) {
-        self.map.insert(
-            a,
-            MateRef {
-                machine: b.0,
-                job: b.1,
-            },
-        );
-        self.map.insert(
-            b,
-            MateRef {
-                machine: a.0,
-                job: a.1,
-            },
-        );
+        self.link(a, b);
+        self.link(b, a);
+    }
+
+    /// Record `mate` as the mate of `job`, in this direction only. The k-way
+    /// engine links each group member to the next one, in a ring.
+    pub(crate) fn link(&mut self, job: (MachineId, JobId), mate: (MachineId, JobId)) {
+        let (machine, id) = mate;
+        self.map.insert(job, MateRef { machine, job: id });
     }
 
     /// The mate of `job` on `machine`, if any.

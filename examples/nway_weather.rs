@@ -14,7 +14,7 @@
 //! ```
 
 use coupled_cosched::cosched::config::CoschedConfig;
-use coupled_cosched::cosched::nway::{GroupId, GroupRegistry, NwayConfig, NwaySimulation};
+use coupled_cosched::cosched::nway::{Constraint, GroupRegistry, NwayConfig, NwaySimulation};
 use coupled_cosched::cosched::Scheme;
 use coupled_cosched::prelude::*;
 use coupled_cosched::sim::{SimDuration, SimTime};
@@ -50,14 +50,16 @@ fn main() {
     // live visualization (wall) — submitted minutes apart by different
     // teams, must start together.
     let mut registry = GroupRegistry::new();
-    registry.insert_group(
-        GroupId(1),
-        vec![
-            (MachineId(0), JobId(100)),
-            (MachineId(1), JobId(100)),
-            (MachineId(2), JobId(100)),
-        ],
-    );
+    registry
+        .insert(
+            Constraint::CoStart,
+            vec![
+                (MachineId(0), JobId(100)),
+                (MachineId(1), JobId(100)),
+                (MachineId(2), JobId(100)),
+            ],
+        )
+        .expect("three members on three machines");
 
     let traces = vec![
         Trace::from_jobs(
@@ -83,7 +85,9 @@ fn main() {
         ),
     ];
 
-    let report = NwaySimulation::new(config, traces, registry).run();
+    let report = NwaySimulation::new(config, traces, registry)
+        .expect("one trace per machine, in config order")
+        .run();
 
     println!(
         "events: {}, deadlocked: {}",
@@ -101,14 +105,11 @@ fn main() {
         }
     }
     println!(
-        "group spread: {:?} — synchronized = {}",
-        report.group_spreads,
-        report.all_groups_synchronized()
+        "group grades: {:?} — synchronized = {}",
+        report.grades,
+        report.all_satisfied()
     );
-    assert!(
-        report.all_groups_synchronized(),
-        "3-way group must co-start"
-    );
+    assert!(report.all_satisfied(), "3-way group must co-start");
 
     // The rendezvous is gated by the slowest machine: the CPU cluster's
     // background CFD run occupies 400 of 512 nodes for 90 minutes, leaving

@@ -13,9 +13,7 @@
 //! ```
 
 use coupled_cosched::cosched::config::CoschedConfig;
-use coupled_cosched::cosched::temporal::{
-    ConstraintInstance, TemporalConstraint, TemporalSimulation,
-};
+use coupled_cosched::cosched::nway::{Constraint, GroupRegistry, NwayConfig, NwaySimulation};
 use coupled_cosched::cosched::Scheme;
 use coupled_cosched::prelude::*;
 use coupled_cosched::sim::{SimDuration, SimTime};
@@ -32,16 +30,19 @@ fn job(machine: usize, id: u64, submit_mins: u64, size: u64, runtime_mins: u64) 
 }
 
 fn main() {
-    let machines = [
-        MachineConfig::flat("compute", MachineId(0), 256),
-        MachineConfig::flat("analysis", MachineId(1), 32),
-    ];
-    let cosched = [
-        CoschedConfig::paper(Scheme::Hold),
-        CoschedConfig::paper(Scheme::Yield),
-    ];
+    let config = NwayConfig {
+        machines: vec![
+            MachineConfig::flat("compute", MachineId(0), 256),
+            MachineConfig::flat("analysis", MachineId(1), 32),
+        ],
+        cosched: vec![
+            CoschedConfig::paper(Scheme::Hold),
+            CoschedConfig::paper(Scheme::Yield),
+        ],
+        max_events: 10_000_000,
+    };
 
-    let traces = [
+    let traces = vec![
         Trace::from_jobs(
             MachineId(0),
             vec![
@@ -58,25 +59,26 @@ fn main() {
         ),
     ];
 
-    let constraints = vec![
-        ConstraintInstance {
-            a: JobId(1),
-            b: JobId(1),
-            constraint: TemporalConstraint::StartWithin {
-                window: SimDuration::from_mins(10),
-            },
-        },
-        ConstraintInstance {
-            a: JobId(1),
-            b: JobId(2),
-            constraint: TemporalConstraint::StartAfter {
-                min_delay: SimDuration::from_mins(30),
-                max_delay: SimDuration::from_mins(90),
-            },
-        },
-    ];
+    let simulation = (MachineId(0), JobId(1));
+    let mut registry = GroupRegistry::new();
+    let window = SimDuration::from_mins(10);
+    registry
+        .insert(
+            Constraint::StartWithin { window },
+            vec![simulation, (MachineId(1), JobId(1))],
+        )
+        .expect("two members on two machines");
+    let after = Constraint::StartAfter {
+        min_delay: SimDuration::from_mins(30),
+        max_delay: SimDuration::from_mins(90),
+    };
+    registry
+        .insert(after, vec![simulation, (MachineId(1), JobId(2))])
+        .expect("the analysis job has no other relation");
 
-    let report = TemporalSimulation::new(machines, cosched, traces, constraints).run();
+    let report = NwaySimulation::new(config, traces, registry.clone())
+        .expect("one trace per machine, in config order")
+        .run();
 
     println!(
         "events: {}, deadlocked: {}",
@@ -92,17 +94,21 @@ fn main() {
             );
         }
     }
-    for o in &report.outcomes {
+    for g in &report.grades {
+        let [(_, a), (_, b)] = registry.members(g.id) else {
+            unreachable!("both relations have two members");
+        };
         println!(
-            "constraint {:?} a={} b={}: offset {}{}, satisfied = {}",
-            o.instance.constraint,
-            o.instance.a,
-            o.instance.b,
-            o.offset,
-            if o.b_before_a { " (b first)" } else { "" },
-            o.satisfied
+            "constraint {:?} a={a} b={b}: offset {}, satisfied = {}",
+            g.constraint, g.offset, g.satisfied
         );
     }
+    let offsets: Vec<_> = report.grades.iter().map(|g| g.offset).collect();
+    assert_eq!(
+        offsets,
+        [SimDuration::from_mins(8), SimDuration::from_mins(30)],
+        "dashboard 8 min after the simulation, analysis at the 30 min gate"
+    );
     assert!(report.all_satisfied(), "pipeline constraints must hold");
     println!("all constraints satisfied");
 }

@@ -2,10 +2,10 @@
 //! coscheduling, temporal constraints) and the §III co-reservation
 //! comparator, exercised through the facade crate at randomized scale.
 
+use cosched_bench::harness::anl_proportion_traces;
 use coupled_cosched::cosched::config::CoschedConfig;
-use coupled_cosched::cosched::nway::{GroupId, GroupRegistry, NwayConfig, NwaySimulation};
-use coupled_cosched::cosched::temporal::{
-    ConstraintInstance, TemporalConstraint, TemporalSimulation,
+use coupled_cosched::cosched::nway::{
+    Constraint, GroupRegistry, Member, NwayConfig, NwayReport, NwaySimulation,
 };
 use coupled_cosched::cosched::Scheme;
 use coupled_cosched::prelude::*;
@@ -24,11 +24,14 @@ fn job(machine: usize, id: u64, submit: u64, size: u64, runtime: u64) -> Job {
     )
 }
 
-#[test]
-fn nway_randomized_groups_synchronize_across_four_machines() {
+/// A k-way run's inputs.
+type Run = (NwayConfig, Vec<Trace>, GroupRegistry);
+
+/// Four Eureka-sized machines (hold on even, yield on odd) with a 1-day
+/// background workload each plus 20 four-way groups.
+fn four_machine_groups() -> Run {
     let n = 4;
     let rng = SimRng::seed_from_u64(77);
-    // Background workload per machine plus 20 four-way groups.
     let mut traces: Vec<Trace> = (0..n)
         .map(|m| {
             TraceGenerator::new(
@@ -43,7 +46,7 @@ fn nway_randomized_groups_synchronize_across_four_machines() {
     let mut registry = GroupRegistry::new();
     for g in 0..20u64 {
         let submit = 1_000 + g * 3_000;
-        let members: Vec<(MachineId, JobId)> = (0..n)
+        let members: Vec<Member> = (0..n)
             .map(|m| {
                 let id = JobId(100_000 + g);
                 traces[m].push(job(m, id.0, submit + (m as u64) * 37, 5 + (g % 10), 900));
@@ -53,7 +56,7 @@ fn nway_randomized_groups_synchronize_across_four_machines() {
         for t in &mut traces {
             t.resort();
         }
-        registry.insert_group(GroupId(g), members);
+        registry.insert(Constraint::CoStart, members).unwrap();
     }
     let config = NwayConfig {
         machines: (0..n)
@@ -74,19 +77,12 @@ fn nway_randomized_groups_synchronize_across_four_machines() {
             .collect(),
         max_events: 2_000_000,
     };
-    let report = NwaySimulation::new(config, traces, registry).run();
-    assert!(!report.deadlocked);
-    assert!(!report.aborted);
-    assert_eq!(report.group_spreads.len(), 20, "every group must complete");
-    assert!(
-        report.all_groups_synchronized(),
-        "spreads {:?}",
-        report.group_spreads
-    );
+    (config, traces, registry)
 }
 
-#[test]
-fn temporal_mixed_constraints_on_random_background() {
+/// Two Eureka machines (hold, yield) at 30 % background load with three
+/// constrained trios: a co-start pair and a delayed analysis job.
+fn mixed_constraints() -> Run {
     let rng = SimRng::seed_from_u64(88);
     let mut a = TraceGenerator::new(
         MachineModel::eureka().with_runtime(1_500.0, 1.0),
@@ -103,53 +99,182 @@ fn temporal_mixed_constraints_on_random_background() {
     .target_utilization(0.3)
     .generate(&mut rng.fork(1));
 
-    // Three constrained trios layered onto the background.
-    let mut constraints = Vec::new();
+    let mut registry = GroupRegistry::new();
     for k in 0..3u64 {
         let base = 5_000 + k * 20_000;
         a.push(job(0, 200_000 + k, base, 10, 3_600));
         b.push(job(1, 200_000 + k, base + 60, 10, 1_800)); // co-start mate
         b.push(job(1, 300_000 + k, base + 120, 5, 900)); // delayed analysis
-        constraints.push(ConstraintInstance {
-            a: JobId(200_000 + k),
-            b: JobId(200_000 + k),
-            constraint: TemporalConstraint::CoStart,
-        });
-        constraints.push(ConstraintInstance {
-            a: JobId(200_000 + k),
-            b: JobId(300_000 + k),
-            constraint: TemporalConstraint::StartAfter {
-                min_delay: SimDuration::from_mins(10),
-                max_delay: SimDuration::from_hours(12),
-            },
-        });
+        let sim = (MachineId(0), JobId(200_000 + k));
+        registry
+            .insert(
+                Constraint::CoStart,
+                vec![sim, (MachineId(1), JobId(200_000 + k))],
+            )
+            .unwrap();
+        let after = Constraint::StartAfter {
+            min_delay: SimDuration::from_mins(10),
+            max_delay: SimDuration::from_hours(12),
+        };
+        registry
+            .insert(after, vec![sim, (MachineId(1), JobId(300_000 + k))])
+            .unwrap();
     }
     a.resort();
     b.resort();
-
-    let report = TemporalSimulation::new(
-        [
+    let config = NwayConfig {
+        machines: vec![
             MachineConfig::eureka(MachineId(0)),
             MachineConfig::eureka(MachineId(1)),
         ],
-        [
+        cosched: vec![
             CoschedConfig::paper(Scheme::Hold),
             CoschedConfig::paper(Scheme::Yield),
         ],
-        [a, b],
-        constraints,
-    )
-    .run();
+        max_events: 10_000_000,
+    };
+    (config, vec![a, b], registry)
+}
+
+/// A 2-way cell as a k-way run: the same machines and schemes, each pair a
+/// 2-member co-start group.
+fn pairs_as_groups(config: &CoupledConfig, traces: &[Trace; 2], max_events: u64) -> Run {
+    let mut registry = GroupRegistry::new();
+    for j in traces[0].jobs() {
+        if let Some(mate) = j.mate {
+            let members = vec![(MachineId(0), j.id), (mate.machine, mate.job)];
+            registry.insert(Constraint::CoStart, members).unwrap();
+        }
+    }
+    let config = NwayConfig {
+        machines: config.machines.to_vec(),
+        cosched: config.cosched.to_vec(),
+        max_events,
+    };
+    (config, traces.to_vec(), registry)
+}
+
+fn run((config, traces, registry): Run) -> NwayReport {
+    NwaySimulation::new(config, traces, registry)
+        .expect("valid relations and traces")
+        .run()
+}
+
+/// The start of `job` on machine `m` in a k-way report.
+fn start_of(report: &NwayReport, (machine, job): Member) -> SimTime {
+    let m = machine.0;
+    let record = report.records[m].iter().find(|r| r.id == job);
+    record.expect("member finished").start
+}
+
+#[test]
+fn nway_randomized_groups_synchronize_across_four_machines() {
+    let report = run(four_machine_groups());
     assert!(!report.deadlocked);
-    assert_eq!(report.outcomes.len(), 6);
+    assert!(!report.aborted);
+    assert_eq!(report.grades.len(), 20, "every group must complete");
+    assert!(report.all_satisfied(), "grades {:?}", report.grades);
+}
+
+#[test]
+fn temporal_mixed_constraints_on_random_background() {
+    let inputs = mixed_constraints();
+    let registry = inputs.2.clone();
+    let report = run(inputs);
+    assert!(!report.deadlocked);
+    assert_eq!(report.grades.len(), 6);
     // CoStart constraints are exact; the generous StartAfter windows hold
     // on a 30 %-loaded machine.
-    assert!(report.all_satisfied(), "outcomes {:?}", report.outcomes);
-    // Verify the hard lower bound directly.
-    for o in &report.outcomes {
-        if let TemporalConstraint::StartAfter { min_delay, .. } = o.instance.constraint {
-            assert!(!o.b_before_a);
-            assert!(o.offset >= min_delay);
+    assert!(report.all_satisfied(), "grades {:?}", report.grades);
+    // Verify the hard lower bound directly: no successor starts before
+    // its predecessor's start plus `min_delay`.
+    for g in &report.grades {
+        if let Constraint::StartAfter { min_delay, .. } = g.constraint {
+            let [pred, succ] = registry.members(g.id) else {
+                panic!("an edge has two members");
+            };
+            assert!(start_of(&report, *succ) >= start_of(&report, *pred) + min_delay);
+            assert!(g.offset >= min_delay);
+        }
+    }
+}
+
+/// The k-way engine with every pair of a 2-way workload as a 2-member
+/// co-start group is Algorithm 1 on the same domain core: it must
+/// reproduce the coupled driver job for job, release for release and
+/// event for event, under every scheme combination.
+#[test]
+fn two_member_groups_reproduce_the_coupled_driver() {
+    for seed in 1..=3 {
+        let traces = anl_proportion_traces(seed, 3, 0.33);
+        for combo in SchemeCombo::ALL {
+            let config = CoupledConfig::anl(combo);
+            let nway = run(pairs_as_groups(&config, &traces, config.max_events));
+            let coupled = CoupledSimulation::new(config, traces.clone()).run();
+            let cell = format!("seed {seed} {}", combo.label());
+            for m in 0..2 {
+                let starts = |records: &[coupled_cosched::metrics::JobRecord]| {
+                    let mut starts: Vec<(JobId, SimTime)> =
+                        records.iter().map(|r| (r.id, r.start)).collect();
+                    starts.sort();
+                    starts
+                };
+                let (want, got) = (starts(&coupled.records[m]), starts(&nway.records[m]));
+                let differ = want.iter().zip(&got).filter(|(a, b)| a != b).count();
+                assert_eq!(want.len(), got.len(), "{cell}: machine {m} job count");
+                assert_eq!(differ, 0, "{cell}: {differ} jobs start differently on {m}");
+            }
+            assert_eq!(nway.forced_releases, coupled.forced_releases, "{cell}");
+            assert_eq!(nway.events, coupled.events, "{cell}");
+            assert_eq!(nway.deadlocked, coupled.deadlocked, "{cell}");
+            assert_eq!(nway.all_satisfied(), coupled.all_pairs_synchronized());
+        }
+    }
+}
+
+/// Ten days of hold-hold with a third of the jobs co-start constrained
+/// drain under the batch release sweep; an age-filtered partial release
+/// livelocks here until the event cap.
+#[test]
+fn costart_constraints_drain_a_ten_day_hold_hold_run() {
+    let traces = anl_proportion_traces(1, 10, 0.33);
+    let jobs = traces[0].len() + traces[1].len();
+    assert_eq!(jobs, 4_808);
+    let config = CoupledConfig::anl(SchemeCombo::HH);
+    let report = run(pairs_as_groups(&config, &traces, 10_000_000));
+    assert!(!report.aborted, "stopped after {} events", report.events);
+    assert!(!report.deadlocked);
+    let finished: usize = report.records.iter().map(Vec::len).sum();
+    assert_eq!(finished, jobs);
+    assert!(report.all_satisfied());
+}
+
+/// The domains' event stream of a k-way run is a valid input to the strict
+/// lifecycle analyzer, and agrees with the report.
+#[test]
+fn kway_event_streams_pass_the_strict_lifecycle_analyzer() {
+    for inputs in [four_machine_groups(), mixed_constraints()] {
+        let (config, traces, registry) = inputs;
+        let k = traces.len();
+        let sink = SinkObserver::new(VecSink::default());
+        let sim = NwaySimulation::with_observer(config, traces, registry.clone(), sink);
+        let (report, sink) = sim.expect("valid run").run_observed();
+        assert!(!report.deadlocked && !report.aborted);
+        let records = sink.into_sink().records;
+        let lifecycles = LifecycleSet::from_records(&records).expect("strict lifecycle");
+        for m in 0..k {
+            let mut jobs = report.records[m].clone();
+            jobs.sort_by_key(|r| r.id);
+            let lcs: Vec<_> = lifecycles.machine_jobs(m).collect();
+            assert_eq!(lcs.len(), jobs.len(), "machine {m}");
+            for (lc, r) in lcs.iter().zip(&jobs) {
+                assert_eq!((lc.job, lc.start), (r.id.0, Some(r.start.as_secs())));
+                let member = registry
+                    .group_of(MachineId(m), r.id)
+                    .and_then(|id| registry.constraint(id))
+                    == Some(Constraint::CoStart);
+                assert_eq!((lc.paired, r.paired), (member, member), "job {}", r.id);
+            }
         }
     }
 }
