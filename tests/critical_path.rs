@@ -13,14 +13,23 @@ use coupled_cosched::sim::{SimDuration, SimRng};
 use coupled_cosched::trace::{CriticalPathReport, SegmentClass, SpanTree};
 use coupled_cosched::workload::{pairing, MachineModel, TraceGenerator};
 
-/// The committed golden fixture's record stream.
+/// The committed HY golden fixture's record stream.
 fn fixture_records() -> Vec<TraceRecord> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/hy_seed13.jsonl"
-    );
-    let text = std::fs::read_to_string(path).expect("committed golden fixture");
+    named_fixture_records("hy_seed13.jsonl")
+}
+
+/// The record stream of committed fixture `name` under `tests/fixtures`.
+fn named_fixture_records(name: &str) -> Vec<TraceRecord> {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("committed golden fixture");
     read_trace_str(&text).expect("fixture parses cleanly")
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn config(combo: SchemeCombo) -> CoupledConfig {
@@ -129,6 +138,36 @@ fn every_completed_fixture_pair_has_a_gap_free_critical_path() {
     for agg in &report.combos {
         let classed: u64 = agg.class_secs.iter().sum();
         assert_eq!(classed, agg.total_wait, "combo {}", agg.combo);
+    }
+}
+
+/// Pins `analyze critical-path` on both committed fixtures: the rendered
+/// per-combo table, and every pair's full segment chain (links included, in
+/// their spliced order), each as an FNV-1a 64 digest.
+#[test]
+fn critical_path_output_of_both_fixtures_is_pinned() {
+    let pinned = [
+        (
+            "hy_seed13.jsonl",
+            0x7589_9538_acc1_9f54,
+            0xd058_9747_f473_c92a,
+        ),
+        (
+            "hh_sweep.jsonl",
+            0x3f29_5ec0_057f_de58,
+            0x2675_ac88_7de8_285f,
+        ),
+    ];
+    for (name, rendered_fnv, pairs_fnv) in pinned {
+        let report = CriticalPathReport::from_records(&named_fixture_records(name)).unwrap();
+        assert!(!report.pairs.is_empty(), "{name} has completed pairs");
+        let rendered = format!("{report}");
+        let pairs = format!("{:?}", report.pairs);
+        assert_eq!(
+            (fnv1a64(rendered.as_bytes()), fnv1a64(pairs.as_bytes())),
+            (rendered_fnv, pairs_fnv),
+            "{name}: critical-path output moved (digests are rendered, pairs):\n{rendered}"
+        );
     }
 }
 
