@@ -284,18 +284,14 @@ impl Domain {
     /// [`Machine::pick_next`]); exactly one [`Domain::commit`] must follow.
     pub fn pick(&mut self, now: SimTime) -> Option<Ready> {
         let cand = self.machine.pick_next(now)?;
-        let job = self
-            .machine
-            .job(cand.job_id)
-            .expect("candidate exists")
-            .clone();
+        let (job, yields_so_far) = self.machine.pending_job().expect("candidate is pending");
         Some(Ready {
+            job: job.clone(),
             capacity: self.machine.config().capacity,
             held_nodes: self.machine.held_nodes(),
-            yields_so_far: self.machine.yields_of(cand.job_id),
+            yields_so_far,
             cfg: self.cfg.clone(),
             cand,
-            job,
         })
     }
 

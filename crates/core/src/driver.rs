@@ -733,7 +733,9 @@ impl<O: Observer> CoupledSimulation<O> {
             .spans
             .open(&mut self.observer, t, m, ctx_span, kind, subject);
         let response = match *req {
-            Request::GetMateStatus { job } if self.unknown_status.contains(&(m, job)) => {
+            Request::GetMateStatus { job }
+                if !self.unknown_status.is_empty() && self.unknown_status.contains(&(m, job)) =>
+            {
                 Response::MateStatus(MateStatus::Unknown)
             }
             _ => {

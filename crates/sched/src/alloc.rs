@@ -13,17 +13,105 @@
 //!   harmful on the big machine (visible in the Fig. 6 service-unit losses).
 //!
 //! Allocators hand out opaque [`AllocHandle`]s; the machine stores the
-//! handle with the job and returns it on release. Handles are unforgeable
-//! within a run (monotonic ids), and releasing a stale handle panics — an
-//! allocation bug should stop the simulation, not corrupt utilization
-//! accounting.
+//! handle with the job and returns it on release. Each allocator keeps its
+//! live allocations in a generation-checked slab: a handle names a slab slot
+//! and the generation the slot had when it was handed out, a released slot
+//! is reused by a later allocation under the next generation, and releasing
+//! a handle whose generation no longer matches (a double release, or a stale
+//! handle whose slot was reused) panics — an allocation bug should stop the
+//! simulation, not corrupt utilization accounting.
 
-use cosched_sim::IdHashMap;
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroU64;
 
-/// Opaque token representing one live allocation.
+/// Opaque token representing one live allocation: a slab slot in the low 32
+/// bits and that slot's generation (never zero) in the high 32, so
+/// `Option<AllocHandle>` is as small as the handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AllocHandle(u64);
+pub struct AllocHandle(NonZeroU64);
+
+impl AllocHandle {
+    fn new(slot: u32, generation: u32) -> Self {
+        let packed = u64::from(generation) << 32 | u64::from(slot);
+        AllocHandle(NonZeroU64::new(packed).expect("generations start at 1"))
+    }
+
+    fn slot(self) -> usize {
+        (self.0.get() & u64::from(u32::MAX)) as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0.get() >> 32) as u32
+    }
+}
+
+/// One slab slot: the generation its next (or current) handle carries, and
+/// the allocation while it is live.
+#[derive(Debug)]
+struct SlabEntry<T> {
+    generation: u32,
+    value: Option<T>,
+}
+
+/// Live allocations indexed by handle slot. Released slots go on a free list
+/// and are reused, so a steady alloc/release cycle allocates no memory.
+#[derive(Debug)]
+struct Slab<T> {
+    entries: Vec<SlabEntry<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            entries: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// File `value` in a free slot (or a new one) and hand out its handle.
+    fn insert(&mut self, value: T) -> AllocHandle {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.entries.len()).expect("allocation slab overflow");
+                self.entries.push(SlabEntry {
+                    generation: 1,
+                    value: None,
+                });
+                slot
+            }
+        };
+        let entry = &mut self.entries[slot as usize];
+        entry.value = Some(value);
+        AllocHandle::new(slot, entry.generation)
+    }
+
+    /// Take the allocation `handle` names and free its slot under the next
+    /// generation.
+    ///
+    /// # Panics
+    /// Panics if `handle` is not live: released already, or its slot was
+    /// reused since.
+    fn remove(&mut self, handle: AllocHandle) -> T {
+        let slot = handle.slot();
+        let entry = self.entries.get_mut(slot);
+        let entry = entry.filter(|e| e.generation == handle.generation() && e.value.is_some());
+        let Some(entry) = entry else {
+            panic!("release of non-live handle {handle:?}");
+        };
+        // Generation 0 is reserved so that a packed handle is never zero.
+        entry.generation = entry.generation.checked_add(1).unwrap_or(1);
+        self.free.push(slot as u32);
+        entry.value.take().expect("checked live above")
+    }
+
+    /// Number of live allocations.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
+}
 
 /// Which allocator a machine uses (serializable configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,8 +162,8 @@ pub trait NodeAllocator: Send {
     /// Release a prior allocation.
     ///
     /// # Panics
-    /// Panics on a handle that is not live (double release or foreign
-    /// handle).
+    /// Panics on a handle that is not live: a double release, a stale handle
+    /// whose slot a later allocation reuses, or a foreign handle.
     fn release(&mut self, handle: AllocHandle);
 
     /// Nodes consumed by a hypothetical allocation of `size` (≥ `size` for
@@ -88,8 +176,8 @@ pub trait NodeAllocator: Send {
 pub struct FlatAllocator {
     capacity: u64,
     free: u64,
-    live: IdHashMap<u64, u64>, // handle id → size
-    next_id: u64,
+    /// Live allocations' sizes.
+    live: Slab<u64>,
 }
 
 impl FlatAllocator {
@@ -99,8 +187,7 @@ impl FlatAllocator {
         FlatAllocator {
             capacity,
             free: capacity,
-            live: IdHashMap::default(),
-            next_id: 0,
+            live: Slab::new(),
         }
     }
 }
@@ -120,16 +207,10 @@ impl NodeAllocator for FlatAllocator {
             return None;
         }
         self.free -= size;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.live.insert(id, size);
-        Some(AllocHandle(id))
+        Some(self.live.insert(size))
     }
     fn release(&mut self, handle: AllocHandle) {
-        let size = self
-            .live
-            .remove(&handle.0)
-            .unwrap_or_else(|| panic!("release of non-live handle {handle:?}"));
+        let size = self.live.remove(handle);
         self.free += size;
         debug_assert!(self.free <= self.capacity);
     }
@@ -155,9 +236,9 @@ pub struct BuddyAllocator {
     /// (block index is in units of `2^k` leaves). Sorted so allocation is
     /// deterministic (lowest address first).
     free_blocks: Vec<Vec<u64>>,
-    /// handle id → (order, block index)
-    live: IdHashMap<u64, (u32, u64)>,
-    next_id: u64,
+    /// Live allocations' `(order, block index)`, the permanently reserved
+    /// padding units included.
+    live: Slab<(u32, u64)>,
     free_units: u64,
     /// Bit `k` set ⇔ `free_blocks[k]` is non-empty. Lets [`Self::can_fit`]
     /// and the carve search answer "any free block of order ≥ k?" in O(1)
@@ -184,8 +265,7 @@ impl BuddyAllocator {
             unit,
             max_order,
             free_blocks: vec![Vec::new(); (max_order + 1) as usize],
-            live: IdHashMap::default(),
-            next_id: 0,
+            live: Slab::new(),
             free_units: padded,
             order_mask: 0,
         };
@@ -193,11 +273,11 @@ impl BuddyAllocator {
         // Permanently reserve the padding units (one unit at a time keeps
         // the real units maximally coalescible).
         for _ in total_units..padded {
-            let h = alloc
+            // Padding is never released: its slab entries stay live and its
+            // handles are dropped.
+            alloc
                 .alloc_units_highest(1)
                 .expect("padding reservation must succeed");
-            // Padding is never released; drop the handle.
-            let _ = h;
         }
         alloc.free_units = total_units.min(alloc.free_units);
         alloc
@@ -259,11 +339,8 @@ impl BuddyAllocator {
     fn alloc_units(&mut self, units: u64) -> Option<AllocHandle> {
         let order = self.order_for_units(units)?;
         let block = self.carve(order)?;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.live.insert(id, (order, block));
         self.free_units -= 1u64 << order;
-        Some(AllocHandle(id))
+        Some(self.live.insert((order, block)))
     }
 
     /// Like `alloc_units` but preferring the highest-addressed block, used
@@ -279,11 +356,8 @@ impl BuddyAllocator {
             block = block * 2 + 1;
             self.list_insert(k, block - 1);
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.live.insert(id, (order, block));
         self.free_units -= 1u64 << order;
-        Some(AllocHandle(id))
+        Some(self.live.insert((order, block)))
     }
 
     fn coalesce(&mut self, mut order: u32, mut block: u64) {
@@ -343,10 +417,7 @@ impl NodeAllocator for BuddyAllocator {
         self.alloc_units(units)
     }
     fn release(&mut self, handle: AllocHandle) {
-        let (order, block) = self
-            .live
-            .remove(&handle.0)
-            .unwrap_or_else(|| panic!("release of non-live handle {handle:?}"));
+        let (order, block) = self.live.remove(handle);
         self.free_units += 1u64 << order;
         self.coalesce(order, block);
     }
@@ -506,6 +577,68 @@ mod tests {
         let h = b.alloc(512).unwrap();
         b.release(h);
         b.release(h);
+    }
+
+    #[test]
+    fn handles_pack_into_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Option<AllocHandle>>(), 8);
+    }
+
+    #[test]
+    fn released_slots_are_reused_under_a_new_generation() {
+        let mut a = FlatAllocator::new(10);
+        let h1 = a.alloc(4).unwrap();
+        a.release(h1);
+        let h2 = a.alloc(3).unwrap();
+        assert_eq!(h2.slot(), h1.slot(), "the freed slot is reused");
+        assert_ne!(h2, h1, "under a new generation");
+        assert_eq!(a.live.len(), 1);
+        a.release(h2);
+        assert_eq!(a.free_nodes(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-live handle")]
+    fn flat_release_of_a_handle_whose_slot_was_reused_panics() {
+        let mut a = FlatAllocator::new(10);
+        let old = a.alloc(5).unwrap();
+        a.release(old);
+        let _new = a.alloc(2).unwrap();
+        a.release(old);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-live handle")]
+    fn buddy_release_of_a_handle_whose_slot_was_reused_panics() {
+        let mut b = BuddyAllocator::new(2048, 512);
+        let old = b.alloc(512).unwrap();
+        b.release(old);
+        let new = b.alloc(1024).unwrap();
+        assert_eq!(new.slot(), old.slot());
+        b.release(old);
+    }
+
+    #[test]
+    fn buddy_padding_handles_stay_live() {
+        // Intrepid pads 80 midplanes to 128 leaves: 48 padding units, each a
+        // live allocation for the allocator's whole life.
+        let mut b = BuddyAllocator::new(40_960, 512);
+        assert_eq!(b.live.len(), 48);
+        let padding_slots = 0..48;
+        let mut handles = Vec::new();
+        for round in 0..3 {
+            for _ in 0..80 {
+                let h = b.alloc(512).expect("80 real midplanes");
+                assert!(!padding_slots.contains(&h.slot()), "round {round}");
+                handles.push(h);
+            }
+            assert!(b.alloc(512).is_none(), "padding is never handed out");
+            for h in handles.drain(..) {
+                b.release(h);
+            }
+            assert_eq!(b.live.len(), 48);
+            assert_eq!(b.free_nodes(), 40_960);
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Events are ordered by `(time, seq)` where `seq` is a monotonically
 //! increasing insertion counter, so simultaneous events dispatch in FIFO
 //! order. That makes simulations fully deterministic regardless of heap
-//! internals. Cancellation is lazy: [`EventQueue::cancel`] marks the event id
-//! and [`EventQueue::pop`] silently discards marked entries. Lazy deletion is
-//! the standard DES technique for timers that are usually rescheduled (the
-//! hold-release timers of the deadlock breaker are exactly that shape).
+//! internals. Cancellation is lazy: [`EventQueue::cancel`] records a
+//! tombstone for the event's sequence number and [`EventQueue::pop`]
+//! silently discards tombstoned entries. Lazy deletion is the standard DES
+//! technique for timers that are usually rescheduled. Only cancelled events
+//! are recorded, so a run that cancels nothing (every coupled simulation)
+//! pushes, pops and peeks without touching the tombstone set.
 
 use crate::idhash::IdHashSet;
 use crate::time::SimTime;
@@ -67,9 +69,9 @@ impl<E> Ord for HeapEntry<E> {
 /// cancellation.
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
-    /// Sequence numbers of events that are in the heap and not cancelled.
-    /// Membership here is the source of truth for "pending".
-    pending: IdHashSet<u64>,
+    /// Sequence numbers of cancelled events still in the heap. Every other
+    /// heap entry is pending.
+    tombstones: IdHashSet<u64>,
     next_seq: u64,
     high_water: usize,
     cancelled: u64,
@@ -86,7 +88,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: IdHashSet::default(),
+            tombstones: IdHashSet::default(),
             next_seq: 0,
             high_water: 0,
             cancelled: 0,
@@ -99,27 +101,38 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(HeapEntry { time, seq, event });
-        self.pending.insert(seq);
-        self.high_water = self.high_water.max(self.pending.len());
+        self.high_water = self.high_water.max(self.len());
         EventId(seq)
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending (i.e. not yet popped or cancelled). Cancelling an
     /// already-fired or already-cancelled event is a harmless no-op.
+    ///
+    /// Scans the heap to tell a pending event from a fired one, so it costs
+    /// O(n); the simulators' hot paths never cancel.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let removed = self.pending.remove(&id.0);
-        if removed {
+        let seq = id.0;
+        let pending =
+            !self.tombstones.contains(&seq) && self.heap.iter().any(|entry| entry.seq == seq);
+        if pending {
+            self.tombstones.insert(seq);
             self.cancelled += 1;
         }
-        removed
+        pending
+    }
+
+    /// Whether the heap entry `seq` was cancelled; drops its tombstone, as
+    /// the caller is discarding the entry.
+    fn discard_cancelled(&mut self, seq: u64) -> bool {
+        !self.tombstones.is_empty() && self.tombstones.remove(&seq)
     }
 
     /// Remove and return the earliest pending event, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         while let Some(entry) = self.heap.pop() {
-            if !self.pending.remove(&entry.seq) {
-                continue; // was cancelled; discard lazily
+            if self.discard_cancelled(entry.seq) {
+                continue;
             }
             return Some(ScheduledEvent {
                 time: entry.time,
@@ -134,8 +147,9 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Purge cancelled entries off the top so the answer is accurate.
         while let Some(entry) = self.heap.peek() {
-            if self.pending.contains(&entry.seq) {
-                return Some(entry.time);
+            let (time, seq) = (entry.time, entry.seq);
+            if !self.discard_cancelled(seq) {
+                return Some(time);
             }
             self.heap.pop();
         }
@@ -144,12 +158,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len() - self.tombstones.len()
     }
 
     /// True if no pending events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.len() == 0
     }
 
     /// Largest number of events ever simultaneously pending (throughput /
@@ -214,6 +228,36 @@ mod tests {
     }
 
     #[test]
+    fn cancelling_a_fired_event_is_rejected() {
+        let mut q = EventQueue::new();
+        let a = q.push(t(1), "a");
+        q.push(t(2), "b");
+        assert_eq!(q.pop().unwrap().id, a);
+        assert!(!q.cancel(a), "already fired");
+        assert_eq!((q.len(), q.cancelled()), (1, 0));
+        assert_eq!(q.pop().unwrap().event, "b");
+        assert!(!q.cancel(a));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancelled_entries_leave_no_tombstone_once_discarded() {
+        let mut q = EventQueue::new();
+        let a = q.push(t(1), 1);
+        let b = q.push(t(2), 2);
+        q.push(t(3), 3);
+        assert!(q.cancel(a));
+        assert!(q.cancel(b));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(t(3)), "peek purges both tombstones");
+        assert!(q.tombstones.is_empty());
+        assert_eq!(q.len(), 1);
+        assert!(!q.cancel(b), "already cancelled and discarded");
+        assert_eq!(q.pop().unwrap().event, 3);
+        assert_eq!((q.len(), q.cancelled(), q.high_water()), (0, 2, 3));
+    }
+
+    #[test]
     fn cancel_unknown_id_is_rejected() {
         let mut q: EventQueue<&str> = EventQueue::new();
         assert!(!q.cancel(EventId(42)));
@@ -254,6 +298,12 @@ mod tests {
         q.cancel(a);
         q.cancel(a); // double cancel must not double count
         assert_eq!(q.cancelled(), 1);
+        q.push(t(5), 5);
+        assert_eq!(
+            q.high_water(),
+            3,
+            "a cancelled entry in the heap is not pending"
+        );
         q.pop();
         q.pop();
         // Draining does not lower the high-water mark.
