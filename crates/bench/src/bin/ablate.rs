@@ -34,8 +34,8 @@ fn run_with(cfg: CoupledConfig, scale: Scale) -> (f64, f64, f64, f64, bool) {
     (iw / n, ew / n, sync / n, loss / n, ok)
 }
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> Result<(), String> {
+    let scale = Scale::from_env()?;
     eprintln!("running ablations at {scale:?}…");
 
     let mut t = Table::new(
@@ -170,4 +170,5 @@ fn main() {
         ]);
     }
     print!("{t}");
+    Ok(())
 }

@@ -10,8 +10,8 @@ use cosched_core::SchemeCombo;
 use cosched_metrics::table::{num, Table};
 use cosched_metrics::CohortBreakdown;
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> Result<(), String> {
+    let scale = Scale::from_env()?;
     eprintln!("running cohort analysis at {scale:?}…");
 
     for (m, name, capacity) in [(0usize, "Intrepid", 40_960u64), (1, "Eureka", 100)] {
@@ -68,4 +68,5 @@ fn main() {
         print!("{t}");
         println!();
     }
+    Ok(())
 }

@@ -16,8 +16,8 @@ use cosched_core::SchemeCombo;
 use cosched_metrics::table::{num, pct, Table};
 use cosched_resv::ReservationSimulation;
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> Result<(), String> {
+    let scale = Scale::from_env()?;
     eprintln!("running reservation comparison at {scale:?}…");
 
     let mut table = Table::new(
@@ -105,4 +105,5 @@ fn main() {
         ]);
     }
     print!("{table}");
+    Ok(())
 }

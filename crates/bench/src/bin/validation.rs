@@ -2,35 +2,35 @@
 //! proportion must (1) start all pairs simultaneously and (2) never
 //! deadlock with the release enhancement on. Also demonstrates that
 //! hold-hold *does* deadlock with the enhancement off.
-use cosched_bench::{figures, harness, Scale};
+use cosched_bench::figures::{self, case_points};
+use cosched_bench::{sweep, Scale, SweepKind};
 use cosched_core::{CoupledSimulation, SchemeCombo};
 use cosched_obs::{SinkObserver, VecSink};
 use cosched_trace::{AttributionReport, CriticalPathReport, LifecycleSet};
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> Result<(), String> {
+    let scale = Scale::from_env()?;
     eprintln!("running validation sweeps at {scale:?}…");
-    let load = harness::load_sweep(scale);
-    let prop = harness::prop_sweep(scale);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let load = sweep(SweepKind::Load, scale, threads);
+    let prop = sweep(SweepKind::Proportion, scale, threads);
     print!(
         "{}",
         figures::validation_table(
-            &figures::load_points(&load),
+            &case_points(SweepKind::Load, &load),
             "Validation — load sweep (Eureka util.)"
         )
     );
     print!(
         "{}",
         figures::validation_table(
-            &figures::prop_points(&prop),
+            &case_points(SweepKind::Proportion, &prop),
             "Validation — proportion sweep (paired share)"
         )
     );
 
     // Deadlock demonstration: HH without the release enhancement.
-    let cfg = harness::anl_with(SchemeCombo::HH, |c| c.release_period = None);
-    let traces = harness::anl_load_traces(1, scale.days, 0.50);
-    let report = CoupledSimulation::new(cfg, traces).run();
+    let report = figures::hh_without_release(scale.days);
     println!();
     println!(
         "HH without release enhancement: deadlocked = {}, unfinished jobs = {:?} (paper: \"deadlocks are highly likely … when the simulation time span [is] more than 10 days\")",
@@ -41,12 +41,9 @@ fn main() {
     // identical to an untraced run).
     let cfg = cosched_core::CoupledConfig::anl(SchemeCombo::HH);
     let observer = SinkObserver::new(VecSink::default());
-    let arts = CoupledSimulation::with_observer(
-        cfg,
-        harness::anl_load_traces(1, scale.days, 0.50),
-        observer,
-    )
-    .run_traced();
+    let arts =
+        CoupledSimulation::with_observer(cfg, figures::deadlock_traces(scale.days), observer)
+            .run_traced();
     let report = &arts.report;
     println!(
         "HH with 20-minute release enhancement: deadlocked = {}, unfinished jobs = {:?}",
@@ -90,4 +87,5 @@ fn main() {
         arts.rpc_latency_ns.mean(),
         arts.rpc_latency_ns.max
     );
+    Ok(())
 }

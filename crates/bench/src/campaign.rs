@@ -9,10 +9,15 @@
 //! multi-consumer channel as the work queue), and their outcomes are
 //! reassembled by submission index before folding.
 //!
+//! [`sweep_cells`] is the repository's only definition of a sweep: the
+//! figure tables and the validation binary (through [`sweep`]), `bench
+//! campaign` and the campaign goldens all run these cells, and
+//! [`assemble_points`] is the only fold into [`SweepPoint`]s.
+//!
 //! # Determinism invariant
 //!
-//! A parallel campaign is **byte-identical** to the serial one. Two things
-//! make this hold, and both are load-bearing:
+//! A campaign on N workers is **byte-identical** to the 1-thread run. Two
+//! things make this hold, and both are load-bearing:
 //!
 //! * each cell's [`SeedOutcome`] is a pure function of `(combo, traces)` —
 //!   no shared mutable state, no wall-clock input;
@@ -21,14 +26,14 @@
 //!   order.
 //!
 //! The invariant is pinned by a tier-1 integration test
-//! (`tests/campaign.rs`) comparing serialized bytes of serial and parallel
-//! sweeps.
+//! (`tests/campaign.rs`) comparing serialized bytes of 1-thread and
+//! 4-thread sweeps.
 
 use crate::harness::{
-    anl_load_traces, anl_proportion_traces, fold_outcomes, run_seed, LoadSweep, PropSweep, Scale,
+    anl_config, anl_load_traces, anl_proportion_traces, fold_outcomes, run_seed, Scale,
     SeedOutcome, SweepPoint, EUREKA_UTILS, PROPORTIONS,
 };
-use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo};
+use cosched_core::{CoupledSimulation, SchemeCombo};
 use cosched_obs::PhaseSnapshot;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -58,6 +63,15 @@ impl SweepKind {
             SweepKind::Proportion => "prop",
         }
     }
+
+    /// How a grid point reads in a table's case column: a utilization as
+    /// `0.25`, a proportion as `2.5%`.
+    pub fn case_label(self, x: f64) -> String {
+        match self {
+            SweepKind::Load => format!("{x:.2}"),
+            SweepKind::Proportion => format!("{:.1}%", x * 100.0),
+        }
+    }
 }
 
 /// One independent unit of campaign work: a `(grid point, combo, seed)`
@@ -70,7 +84,7 @@ pub struct CampaignCell {
     pub x: f64,
     /// Scheme combination; `None` is the no-coscheduling baseline.
     pub combo: Option<SchemeCombo>,
-    /// Trace seed (1-based, matching the serial harness).
+    /// Trace seed (1-based).
     pub seed: u64,
     /// Trace span in days.
     pub days: u64,
@@ -93,8 +107,7 @@ impl CampaignCell {
 
 /// Enumerate a sweep's cells in submission order: for each grid point, the
 /// baseline then the four combos (the order [`SchemeCombo::ALL`] lists
-/// them), each across all seeds — exactly the order the serial
-/// `load_sweep` / `prop_sweep` loops visit.
+/// them), each across all seeds — the order [`assemble_points`] folds.
 pub fn sweep_cells(kind: SweepKind, scale: Scale) -> Vec<CampaignCell> {
     let mut cells = Vec::new();
     for &x in kind.grid() {
@@ -187,25 +200,11 @@ pub fn assemble_points(kind: SweepKind, scale: Scale, outcomes: &[SeedOutcome]) 
         .collect()
 }
 
-/// Parallel equivalent of `harness::load_sweep`: same points, computed on
-/// `threads` workers.
-pub fn parallel_load_sweep(scale: Scale, threads: usize) -> LoadSweep {
-    let cells = sweep_cells(SweepKind::Load, scale);
-    let outcomes = run_cells(&cells, threads);
-    LoadSweep {
-        points: assemble_points(SweepKind::Load, scale, &outcomes),
-        scale,
-    }
-}
-
-/// Parallel equivalent of `harness::prop_sweep`.
-pub fn parallel_prop_sweep(scale: Scale, threads: usize) -> PropSweep {
-    let cells = sweep_cells(SweepKind::Proportion, scale);
-    let outcomes = run_cells(&cells, threads);
-    PropSweep {
-        points: assemble_points(SweepKind::Proportion, scale, &outcomes),
-        scale,
-    }
+/// Run every cell of a sweep on `threads` workers and fold them into its
+/// grid points. The points are the same at any worker count.
+pub fn sweep(kind: SweepKind, scale: Scale, threads: usize) -> Vec<SweepPoint> {
+    let cells = sweep_cells(kind, scale);
+    assemble_points(kind, scale, &run_cells(&cells, threads))
 }
 
 /// One timed execution of the cell set at a given worker count.
@@ -244,16 +243,14 @@ pub struct CampaignReport {
     pub phase_profile: Vec<PhaseSnapshot>,
 }
 
-/// Run a campaign at 1 thread (the reference) and at each requested worker
-/// count, timing each pass, verifying parallel outcomes equal serial ones,
-/// and profiling one representative cell. Returns the sweep points (from
-/// the serial pass) alongside the benchmark report.
-pub fn bench_campaign(
-    kind: SweepKind,
-    scale: Scale,
-    thread_counts: &[usize],
-) -> (Vec<SweepPoint>, CampaignReport) {
+/// Run a campaign once untimed, then at 1 thread (the reference) and at
+/// each requested worker count, timing each timed pass, verifying parallel
+/// outcomes equal serial ones, and profiling one representative cell.
+pub fn bench_campaign(kind: SweepKind, scale: Scale, thread_counts: &[usize]) -> CampaignReport {
     let cells = sweep_cells(kind, scale);
+    // One untimed pass first, so the serial timing is not the only one
+    // paying for cold caches and page faults.
+    run_cells(&cells, 1);
     let started = Instant::now();
     let serial = run_cells(&cells, 1);
     let serial_secs = started.elapsed().as_secs_f64();
@@ -279,17 +276,15 @@ pub fn bench_campaign(
             speedup_vs_serial: serial_secs / secs.max(1e-9),
         });
     }
-    let phase_profile = phase_profile_of(&cells[0]);
-    let report = CampaignReport {
+    CampaignReport {
         sweep: kind.label().to_string(),
         days: scale.days,
         seeds: scale.seeds,
         cells: cells.len(),
         timings,
         deterministic,
-        phase_profile,
-    };
-    (assemble_points(kind, scale, &serial), report)
+        phase_profile: phase_profile_of(&cells[0]),
+    }
 }
 
 /// Compare a freshly measured campaign against a committed baseline.
@@ -350,11 +345,7 @@ pub fn check_campaign(
 
 /// Wall-clock phase profile of one cell, run traced.
 fn phase_profile_of(cell: &CampaignCell) -> Vec<PhaseSnapshot> {
-    let config = match cell.combo {
-        Some(c) => CoupledConfig::anl(c),
-        None => CoupledConfig::anl_baseline(),
-    };
-    CoupledSimulation::new(config, cell.traces())
+    CoupledSimulation::new(anl_config(cell.combo), cell.traces())
         .run_traced()
         .profile
 }

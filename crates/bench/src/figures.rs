@@ -1,9 +1,14 @@
-//! Table builders: turn sweep results into the rows/series each paper
-//! figure plots. Shared by the per-figure binaries and `all_experiments`.
+//! The paper's evaluation as tables: builders that turn sweep points into
+//! the rows each figure plots, the title of every figure, and [`report`],
+//! which prints Figs. 3–10, the §V-B validation and the deadlock
+//! demonstration from one run of the campaign cells (`cosched figures`).
 
-use crate::harness::{CaseResult, LoadSweep, PropSweep};
+use crate::campaign::{sweep, SweepKind};
+use crate::harness::{anl_load_traces, anl_with, CaseResult, Scale, SweepPoint};
+use cosched_core::{CoupledConfig, CoupledSimulation, SchemeCombo, SimulationReport};
 use cosched_metrics::table::{num, pct, Table};
 use cosched_metrics::MachineSummary;
+use cosched_workload::Trace;
 
 /// One sweep grid point as consumed by the table builders: the case label
 /// (utilization or proportion), the baseline result, and the per-combination
@@ -16,14 +21,6 @@ fn machine_of(case: &CaseResult, m: usize) -> &MachineSummary {
     } else {
         &case.eureka
     }
-}
-
-fn util_label(u: f64) -> String {
-    format!("{u:.2}")
-}
-
-fn prop_label(p: f64) -> String {
-    format!("{}%", num(p * 100.0, 1))
 }
 
 /// Fig. 3 / Fig. 7: average waiting time (minutes) with baseline and
@@ -135,29 +132,14 @@ pub fn fig_loss(points: &[CasePoint<'_>], m: usize, title: &str) -> Table {
     t
 }
 
-/// Adapt a [`LoadSweep`] into the generic point shape used by the builders.
-pub fn load_points(sweep: &LoadSweep) -> Vec<CasePoint<'_>> {
-    sweep
-        .points
+/// Adapt a sweep's points into the generic point shape used by the
+/// builders, labelling each case the way `kind` prints its grid.
+pub fn case_points(kind: SweepKind, points: &[SweepPoint]) -> Vec<CasePoint<'_>> {
+    points
         .iter()
-        .map(|(u, base, combos)| {
+        .map(|(x, base, combos)| {
             (
-                util_label(*u),
-                base,
-                combos.iter().map(|(c, r)| (c.label(), r)).collect(),
-            )
-        })
-        .collect()
-}
-
-/// Adapt a [`PropSweep`] into the generic point shape used by the builders.
-pub fn prop_points(sweep: &PropSweep) -> Vec<CasePoint<'_>> {
-    sweep
-        .points
-        .iter()
-        .map(|(p, base, combos)| {
-            (
-                prop_label(*p),
+                kind.case_label(*x),
                 base,
                 combos.iter().map(|(c, r)| (c.label(), r)).collect(),
             )
@@ -197,29 +179,175 @@ pub fn validation_table(points: &[CasePoint<'_>], title: &str) -> Table {
     t
 }
 
+/// A table builder: points, machine index, title.
+pub type Plot = fn(&[CasePoint<'_>], usize, &str) -> Table;
+
+/// One paper figure: its number, the sweep it reads, the table it plots,
+/// and its title after the panel's machine name.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// Figure number in the paper.
+    pub number: u8,
+    /// The sweep whose points the figure plots.
+    pub sweep: SweepKind,
+    /// The table builder.
+    pub plot: Plot,
+    /// Title text after `Fig. N(a) Intrepid `.
+    pub title: &'static str,
+}
+
+/// Figs. 3–10, in paper order: every figure title the repository prints.
+pub const FIGURES: [Figure; 8] = [
+    Figure {
+        number: 3,
+        sweep: SweepKind::Load,
+        plot: fig_wait,
+        title: "avg wait by Eureka sys. util.",
+    },
+    Figure {
+        number: 4,
+        sweep: SweepKind::Load,
+        plot: fig_slowdown,
+        title: "avg slowdown by Eureka sys. util.",
+    },
+    Figure {
+        number: 5,
+        sweep: SweepKind::Load,
+        plot: fig_sync,
+        title: "avg job sync time by Eureka sys. util.",
+    },
+    Figure {
+        number: 6,
+        sweep: SweepKind::Load,
+        plot: fig_loss,
+        title: "service-unit loss by Eureka sys. util.",
+    },
+    Figure {
+        number: 7,
+        sweep: SweepKind::Proportion,
+        plot: fig_wait,
+        title: "avg wait by paired proportion",
+    },
+    Figure {
+        number: 8,
+        sweep: SweepKind::Proportion,
+        plot: fig_slowdown,
+        title: "avg slowdown by paired proportion",
+    },
+    Figure {
+        number: 9,
+        sweep: SweepKind::Proportion,
+        plot: fig_sync,
+        title: "avg job sync time by paired proportion",
+    },
+    Figure {
+        number: 10,
+        sweep: SweepKind::Proportion,
+        plot: fig_loss,
+        title: "service-unit loss by paired proportion",
+    },
+];
+
+impl Figure {
+    /// The figure numbered `number`, if the evaluation has one.
+    pub fn numbered(number: u8) -> Option<Figure> {
+        FIGURES.iter().find(|f| f.number == number).copied()
+    }
+
+    /// Panel (a), Intrepid, and panel (b), Eureka, over the sweep's points.
+    pub fn tables(&self, points: &[CasePoint<'_>]) -> [Table; 2] {
+        [(0, 'a', "Intrepid"), (1, 'b', "Eureka")].map(|(m, panel, machine)| {
+            let title = format!("Fig. {}({panel}) {machine} {}", self.number, self.title);
+            (self.plot)(points, m, &title)
+        })
+    }
+}
+
+/// The §V-B deadlock demonstration's workload: seed 1 of the load sweep at
+/// Eureka utilization 0.50.
+pub fn deadlock_traces(days: u64) -> [Trace; 2] {
+    anl_load_traces(1, days, 0.50)
+}
+
+/// HH with the release enhancement off on [`deadlock_traces`]: the run the
+/// paper expects to deadlock on spans beyond 10 days.
+pub fn hh_without_release(days: u64) -> SimulationReport {
+    let cfg = anl_with(SchemeCombo::HH, |c| c.release_period = None);
+    CoupledSimulation::new(cfg, deadlock_traces(days)).run()
+}
+
+/// The `## Deadlock (§V-B)` section: HH on [`deadlock_traces`] with the
+/// release enhancement off and with its 20-minute default.
+fn deadlock_section(days: u64) -> String {
+    let without = hh_without_release(days);
+    let with =
+        CoupledSimulation::new(CoupledConfig::anl(SchemeCombo::HH), deadlock_traces(days)).run();
+    format!(
+        "## Deadlock (§V-B)\n\n\
+         | configuration | deadlocked | unfinished jobs |\n\
+         |---------------|------------|-----------------|\n\
+         | HH, release enhancement off | {} | {:?} |\n\
+         | HH, 20-minute release       | {} | {:?} |\n",
+        without.deadlocked, without.unfinished, with.deadlocked, with.unfinished
+    )
+}
+
+/// The evaluation as markdown. With `figure`, that figure's two tables;
+/// without, the scale line, both sweeps' validation tables, every figure's
+/// tables and the deadlock demonstration. Each sweep the output needs runs
+/// once, on `threads` workers; the text is the same at any worker count.
+pub fn report(scale: Scale, figure: Option<Figure>, threads: usize) -> String {
+    let mut out = String::new();
+    let mut push = |tables: &[Table]| {
+        for t in tables {
+            out += &format!("{t}\n");
+        }
+    };
+    if let Some(fig) = figure {
+        let points = sweep(fig.sweep, scale, threads);
+        push(&fig.tables(&case_points(fig.sweep, &points)));
+        return out;
+    }
+    let load = sweep(SweepKind::Load, scale, threads);
+    let prop = sweep(SweepKind::Proportion, scale, threads);
+    let load = case_points(SweepKind::Load, &load);
+    let prop = case_points(SweepKind::Proportion, &prop);
+    let points = |kind| match kind {
+        SweepKind::Load => &load,
+        SweepKind::Proportion => &prop,
+    };
+    push(&[
+        validation_table(&load, "Validation — load sweep"),
+        validation_table(&prop, "Validation — proportion sweep"),
+    ]);
+    for fig in FIGURES {
+        push(&fig.tables(points(fig.sweep)));
+    }
+    format!(
+        "# Reproduction run — all experiments\n\n\
+         Scale: {} days per trace, {} seeds per case.\n\n\
+         {out}{}",
+        scale.days,
+        scale.seeds,
+        deadlock_section(scale.days)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_case, Scale};
-    use cosched_core::SchemeCombo;
+    use crate::harness::smoke_case;
 
     type OwnedPoint = (String, CaseResult, Vec<(String, CaseResult)>);
 
     fn tiny_points() -> Vec<OwnedPoint> {
-        let scale = Scale::smoke();
-        let base = run_case(None, scale, |s| {
-            crate::harness::anl_load_traces(s, scale.days, 0.5)
-        });
-        let hh = run_case(Some(SchemeCombo::HH), scale, |s| {
-            crate::harness::anl_load_traces(s, scale.days, 0.5)
-        });
-        let yy = run_case(Some(SchemeCombo::YY), scale, |s| {
-            crate::harness::anl_load_traces(s, scale.days, 0.5)
-        });
         vec![(
             "0.50".to_string(),
-            base,
-            vec![("HH".to_string(), hh), ("YY".to_string(), yy)],
+            smoke_case(None, 0.5),
+            vec![
+                ("HH".to_string(), smoke_case(Some(SchemeCombo::HH), 0.5)),
+                ("YY".to_string(), smoke_case(Some(SchemeCombo::YY), 0.5)),
+            ],
         )]
     }
 
@@ -249,5 +377,30 @@ mod tests {
         assert_eq!(loss.len(), 1); // only HH has local-hold on machine 0 here
         let val = validation_table(&refs, "validation");
         assert!(val.render().contains("yes"));
+    }
+
+    #[test]
+    fn figures_are_numbered_three_to_ten_in_order() {
+        let numbers: Vec<u8> = FIGURES.iter().map(|f| f.number).collect();
+        assert_eq!(numbers, (3..=10).collect::<Vec<u8>>());
+        assert!(Figure::numbered(2).is_none());
+        assert!(Figure::numbered(11).is_none());
+        assert_eq!(
+            Figure::numbered(9).map(|f| f.sweep),
+            Some(SweepKind::Proportion)
+        );
+    }
+
+    #[test]
+    fn each_figure_prints_as_it_appears_in_the_full_report() {
+        let scale = Scale::smoke();
+        let full = report(scale, None, 2);
+        assert_eq!(full.matches("## Fig. ").count(), 16);
+        assert!(full.contains("## Deadlock (§V-B)"));
+        for fig in FIGURES {
+            let one = report(scale, Some(fig), 1);
+            assert!(one.starts_with(&format!("## Fig. {}(a) Intrepid", fig.number)));
+            assert!(full.contains(&one), "Fig. {} differs", fig.number);
+        }
     }
 }

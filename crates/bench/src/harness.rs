@@ -1,4 +1,5 @@
-//! Scenario builders and sweep runners shared by all figure binaries.
+//! Scenario builders and the per-seed run shared by the campaign, the
+//! figure tables and the ablation binaries.
 //!
 //! Experimental design, following §V:
 //!
@@ -66,13 +67,29 @@ impl Scale {
         Scale { days: 3, seeds: 1 }
     }
 
-    /// Read `COSCHED_SCALE` (`full` / `quick` / `smoke`), defaulting to
-    /// quick.
-    pub fn from_env() -> Self {
-        match std::env::var("COSCHED_SCALE").as_deref() {
-            Ok("full") => Self::full(),
-            Ok("smoke") => Self::smoke(),
-            _ => Self::quick(),
+    /// The scale named `smoke`, `quick` or `full`; `None` for any other
+    /// label.
+    pub fn from_label(label: &str) -> Option<Self> {
+        match label {
+            "smoke" => Some(Self::smoke()),
+            "quick" => Some(Self::quick()),
+            "full" => Some(Self::full()),
+            _ => None,
+        }
+    }
+
+    /// Read `COSCHED_SCALE`, defaulting to quick when it is unset.
+    ///
+    /// # Errors
+    /// Names the accepted labels when the variable holds any other value.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("COSCHED_SCALE") {
+            Err(std::env::VarError::NotPresent) => Ok(Self::quick()),
+            Ok(label) => Self::from_label(&label)
+                .ok_or_else(|| format!("COSCHED_SCALE={label} is not a scale (smoke|quick|full)")),
+            Err(e) => Err(format!(
+                "COSCHED_SCALE is not a scale (smoke|quick|full): {e}"
+            )),
         }
     }
 }
@@ -133,7 +150,7 @@ pub fn anl_proportion_traces(seed: u64, days: u64, proportion: f64) -> [Trace; 2
 ///
 /// `PartialEq` + `Serialize` let the campaign runner's determinism
 /// invariant be checked exactly: a parallel campaign must produce results
-/// that are equal — and serialize byte-identically — to the serial run's.
+/// that are equal — and serialize byte-identically — to the 1-thread run's.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CaseResult {
     /// Intrepid's averaged summary.
@@ -153,20 +170,22 @@ pub struct CaseResult {
     pub rendezvous: (usize, usize, usize),
 }
 
+/// The ANL configuration for `combo`; `None` is the no-coscheduling
+/// baseline.
+pub fn anl_config(combo: Option<SchemeCombo>) -> CoupledConfig {
+    combo.map_or_else(CoupledConfig::anl_baseline, CoupledConfig::anl)
+}
+
 /// Run one configuration over one set of traces.
 pub fn run_one(combo: Option<SchemeCombo>, traces: [Trace; 2]) -> SimulationReport {
-    let config = match combo {
-        Some(c) => CoupledConfig::anl(c),
-        None => CoupledConfig::anl_baseline(),
-    };
-    CoupledSimulation::new(config, traces).run()
+    CoupledSimulation::new(anl_config(combo), traces).run()
 }
 
 /// What one seed of a case contributes to the average — the unit of work a
 /// campaign worker produces. Every field is an independent function of
 /// `(combo, traces)` alone, which is what makes the campaign's fan-out
 /// deterministic: outcomes can be computed in any order and folded in seed
-/// order, reproducing the serial loop bit for bit (f64 accumulation order
+/// order, reproducing a 1-thread run bit for bit (f64 accumulation order
 /// included).
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SeedOutcome {
@@ -219,8 +238,8 @@ pub fn run_seed_with_report(
 }
 
 /// Fold per-seed outcomes (in seed order) into a [`CaseResult`]. The fold
-/// accumulates in slice order, so feeding it outcomes in the same order the
-/// serial loop produced them yields a bit-identical average.
+/// accumulates in slice order, so outcomes fed in seed order yield the
+/// same bits whichever worker computed them.
 pub fn fold_outcomes(outcomes: &[SeedOutcome]) -> CaseResult {
     assert!(!outcomes.is_empty(), "a case needs at least one seed");
     let mut intrepid = Vec::with_capacity(outcomes.len());
@@ -252,97 +271,9 @@ pub fn fold_outcomes(outcomes: &[SeedOutcome]) -> CaseResult {
     }
 }
 
-/// Run a case across `scale.seeds` seeds and average. `mk_traces` builds the
-/// per-seed traces (seed is passed in).
-pub fn run_case<F>(combo: Option<SchemeCombo>, scale: Scale, mut mk_traces: F) -> CaseResult
-where
-    F: FnMut(u64) -> [Trace; 2],
-{
-    let outcomes: Vec<SeedOutcome> = (0..scale.seeds)
-        .map(|seed| {
-            let traces = mk_traces(seed + 1);
-            eprintln!(
-                "  case combo={} seed={}/{} …",
-                combo.map_or("baseline".to_string(), |c| c.label()),
-                seed + 1,
-                scale.seeds
-            );
-            run_seed(combo, traces)
-        })
-        .collect();
-    fold_outcomes(&outcomes)
-}
-
 /// One sweep grid point: the x-axis value (utilization or proportion), the
 /// no-coscheduling baseline, and the four scheme-combination results.
 pub type SweepPoint = (f64, CaseResult, Vec<(SchemeCombo, CaseResult)>);
-
-/// Results of the Eureka-load sweep (Figs. 3–6): for each utilization, the
-/// baseline and the four scheme combinations.
-#[derive(Debug, Clone)]
-pub struct LoadSweep {
-    /// `(eureka_util, baseline, [HH, HY, YH, YY])` per grid point.
-    pub points: Vec<SweepPoint>,
-    /// Scale the sweep ran at.
-    pub scale: Scale,
-}
-
-/// Run the full load sweep.
-pub fn load_sweep(scale: Scale) -> LoadSweep {
-    let points = EUREKA_UTILS
-        .iter()
-        .map(|&util| {
-            let base = run_case(None, scale, |seed| anl_load_traces(seed, scale.days, util));
-            let combos = SchemeCombo::ALL
-                .iter()
-                .map(|&c| {
-                    (
-                        c,
-                        run_case(Some(c), scale, |seed| {
-                            anl_load_traces(seed, scale.days, util)
-                        }),
-                    )
-                })
-                .collect();
-            (util, base, combos)
-        })
-        .collect();
-    LoadSweep { points, scale }
-}
-
-/// Results of the paired-proportion sweep (Figs. 7–10).
-#[derive(Debug, Clone)]
-pub struct PropSweep {
-    /// `(proportion, baseline, [HH, HY, YH, YY])` per grid point.
-    pub points: Vec<SweepPoint>,
-    /// Scale the sweep ran at.
-    pub scale: Scale,
-}
-
-/// Run the full proportion sweep.
-pub fn prop_sweep(scale: Scale) -> PropSweep {
-    let points = PROPORTIONS
-        .iter()
-        .map(|&p| {
-            let base = run_case(None, scale, |seed| {
-                anl_proportion_traces(seed, scale.days, p)
-            });
-            let combos = SchemeCombo::ALL
-                .iter()
-                .map(|&c| {
-                    (
-                        c,
-                        run_case(Some(c), scale, |seed| {
-                            anl_proportion_traces(seed, scale.days, p)
-                        }),
-                    )
-                })
-                .collect();
-            (p, base, combos)
-        })
-        .collect();
-    PropSweep { points, scale }
-}
 
 /// A paper-faithful ANL configuration with the coscheduling settings
 /// overridden — used by the ablation harness.
@@ -354,16 +285,37 @@ pub fn anl_with(combo: SchemeCombo, edit: impl Fn(&mut CoschedConfig)) -> Couple
     cfg
 }
 
+/// One smoke-scale load-sweep case at Eureka utilization `util`,
+/// folded from its campaign cells.
+#[cfg(test)]
+pub(crate) fn smoke_case(combo: Option<SchemeCombo>, util: f64) -> CaseResult {
+    let scale = Scale::smoke();
+    let outcomes: Vec<SeedOutcome> = (1..=scale.seeds)
+        .map(|seed| {
+            let cell = crate::campaign::CampaignCell {
+                kind: crate::campaign::SweepKind::Load,
+                x: util,
+                combo,
+                seed,
+                days: scale.days,
+            };
+            cell.run()
+        })
+        .collect();
+    fold_outcomes(&outcomes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scale_from_env_defaults_quick() {
-        // Note: avoids mutating the environment (tests run in parallel);
-        // just checks the default path when the var is absent or unknown.
-        let s = Scale::from_env();
-        assert!(s.days >= 3 && s.seeds >= 1);
+    fn scale_labels_parse_and_unknown_ones_do_not() {
+        assert_eq!(Scale::from_label("smoke"), Some(Scale::smoke()));
+        assert_eq!(Scale::from_label("quick"), Some(Scale::quick()));
+        assert_eq!(Scale::from_label("full"), Some(Scale::full()));
+        assert_eq!(Scale::from_label("ful"), None);
+        assert_eq!(Scale::from_label(""), None);
     }
 
     #[test]
@@ -393,10 +345,7 @@ mod tests {
 
     #[test]
     fn smoke_case_runs_and_synchronizes() {
-        let scale = Scale::smoke();
-        let case = run_case(Some(SchemeCombo::YY), scale, |seed| {
-            anl_load_traces(seed, scale.days, 0.5)
-        });
+        let case = smoke_case(Some(SchemeCombo::YY), 0.5);
         assert!(case.sync_ok);
         assert!(!case.deadlocked);
         assert!(case.intrepid.jobs > 50);
@@ -404,8 +353,7 @@ mod tests {
 
     #[test]
     fn baseline_case_has_no_holds() {
-        let scale = Scale::smoke();
-        let case = run_case(None, scale, |seed| anl_load_traces(seed, scale.days, 0.25));
+        let case = smoke_case(None, 0.25);
         assert_eq!(case.intrepid.total_holds, 0);
         assert_eq!(case.eureka.total_holds, 0);
         assert_eq!(case.intrepid.lost_node_hours, 0.0);

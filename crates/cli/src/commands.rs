@@ -1,6 +1,7 @@
 //! Command implementations.
 
 use crate::args::Parsed;
+use cosched_bench::figures::{self, Figure};
 use cosched_bench::{bench_campaign, CampaignReport, Scale, SweepKind};
 use cosched_core::{
     CoschedConfig, CoupledConfig, CoupledSimulation, RunStats, Scheme, SchemeCombo,
@@ -42,6 +43,7 @@ pub fn run_command(parsed: &Parsed, out: &mut dyn Write) -> Result<(), String> {
         "simulate" => cmd_simulate(parsed, out),
         "analyze" => cmd_analyze(parsed, out),
         "bench" => cmd_bench(parsed, out),
+        "figures" => cmd_figures(parsed, out),
         "watch" => cmd_watch(parsed, out),
         "help" | "--help" | "-h" => {
             let _ = writeln!(out, "{USAGE}");
@@ -88,6 +90,9 @@ Trace analysis (over JSONL traces from `simulate --trace-out`):
   cosched analyze diff          --a <t1.jsonl> --b <t2.jsonl>
   cosched analyze export    --report <report.json> [--out <metrics.prom>]
   cosched analyze export    --format perfetto --trace <t.jsonl> [--out <t.json>]
+
+Paper figures (Figs. 3-10 and the §V-B validation; every hardware thread):
+  cosched figures [--scale <smoke|quick|full>] [--fig <3..10>]
 
 Benchmarks:
   cosched bench campaign [--scale <smoke|quick|full>] [--threads 1,2,4]
@@ -389,6 +394,35 @@ impl TelemetryProvider for CampaignProgress {
     }
 }
 
+/// The `--scale` option, or `default` when it is absent, with its label.
+fn scale_option<'a>(p: &'a Parsed, default: &'a str) -> Result<(&'a str, Scale), String> {
+    let label = p.get("scale").unwrap_or(default);
+    let scale = Scale::from_label(label)
+        .ok_or_else(|| format!("unknown scale {label:?} (smoke|quick|full)"))?;
+    Ok((label, scale))
+}
+
+/// Print the paper's evaluation tables from one run of the campaign cells:
+/// every table with no `--fig`, one figure's two panels with it. Options
+/// are checked before any cell runs.
+fn cmd_figures(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
+    p.no_subcommand("figures")?;
+    p.allow_only(&["scale", "fig"])?;
+    let (_, scale) = scale_option(p, "quick")?;
+    let figure = match p.get("fig") {
+        Some(n) => Some(
+            n.parse()
+                .ok()
+                .and_then(Figure::numbered)
+                .ok_or_else(|| format!("unknown figure {n:?} (3..10)"))?,
+        ),
+        None => None,
+    };
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    write!(out, "{}", figures::report(scale, figure, threads))
+        .map_err(|e| format!("cannot write the figures: {e}"))
+}
+
 fn cmd_bench(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     match p.subcommand.as_deref() {
         Some("campaign") => cmd_bench_campaign(p, out),
@@ -425,13 +459,7 @@ fn cmd_bench_campaign(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
         "tolerance",
         "telemetry",
     ])?;
-    let scale_label = p.get("scale").unwrap_or("smoke");
-    let scale = match scale_label {
-        "smoke" => Scale::smoke(),
-        "quick" => Scale::quick(),
-        "full" => Scale::full(),
-        other => return Err(format!("unknown scale {other:?} (smoke|quick|full)")),
-    };
+    let (scale_label, scale) = scale_option(p, "smoke")?;
     let threads: Vec<usize> = p
         .get("threads")
         .unwrap_or("1,2,4")
@@ -482,7 +510,7 @@ fn cmd_bench_campaign(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
             scale.seeds,
             hardware_threads
         );
-        let (_points, report) = bench_campaign(kind, scale, &threads);
+        let report = bench_campaign(kind, scale, &threads);
         for t in &report.timings {
             let _ = writeln!(
                 out,
@@ -1204,6 +1232,40 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("scale"), "{err}");
+    }
+
+    #[test]
+    fn figures_rejects_bad_options_before_running_any_cell() {
+        // At `--scale full` the sweep runs far longer than this test if a
+        // cell ran before the options were checked.
+        for fig in ["2", "11", "x"] {
+            let err = run(&format!("figures --scale full --fig {fig}")).unwrap_err();
+            assert!(
+                err.contains("unknown figure") && err.contains("3..10"),
+                "{err}"
+            );
+        }
+        let err = run("figures --scale huge --fig 3").unwrap_err();
+        assert!(
+            err.contains("unknown scale") && err.contains("smoke|quick|full"),
+            "{err}"
+        );
+        let err = run("figures --scale full --threads 2").unwrap_err();
+        assert!(err.contains("threads"), "{err}");
+    }
+
+    #[test]
+    fn figures_prints_one_figure_at_smoke_scale() {
+        let out = run("figures --scale smoke --fig 6").unwrap();
+        assert!(
+            out.starts_with("## Fig. 6(a) Intrepid service-unit loss"),
+            "{out}"
+        );
+        assert!(
+            out.contains("## Fig. 6(b) Eureka service-unit loss"),
+            "{out}"
+        );
+        assert_eq!(out.matches("## Fig.").count(), 2, "{out}");
     }
 
     #[test]

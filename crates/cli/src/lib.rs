@@ -11,7 +11,9 @@
 //!   custom window / exact proportion) and write a pairs file;
 //! * `simulate` — run the coupled coscheduling simulation from two SWF
 //!   traces + a pairs file, printing the metrics table and optionally a
-//!   JSON report.
+//!   JSON report;
+//! * `figures` — print the paper's evaluation tables (Figs. 3–10, the §V-B
+//!   validation and the deadlock demonstration) from the campaign cells.
 
 pub mod args;
 pub mod commands;

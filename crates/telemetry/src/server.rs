@@ -7,8 +7,8 @@
 //! snapshot at request time, so scrapes observe the run mid-flight without
 //! synchronizing with it.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -162,24 +162,54 @@ fn serve<P: TelemetryProvider>(listener: TcpListener, provider: P, stop: Arc<Ato
     }
 }
 
+/// Most bytes of request line plus headers the server reads. A longer
+/// request head is answered with 431 and the connection closed, so one
+/// request cannot grow the server's memory without bound.
+const MAX_REQUEST_HEAD: u64 = 8 * 1024;
+
+/// Most bytes of an oversized request the server reads and discards after
+/// answering 431, so the client sees the answer rather than a reset.
+const MAX_DISCARD: u64 = 1024 * 1024;
+
 fn handle_connection<P: TelemetryProvider>(stream: TcpStream, provider: &P) {
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream).take(MAX_REQUEST_HEAD);
     let mut request_line = String::new();
     if reader.read_line(&mut request_line).is_err() {
         return;
     }
-    // Drain headers so well-behaved clients see a clean close.
+    // Drain headers so well-behaved clients see a clean close. A line read
+    // without its newline has hit the cap, or the client went away.
+    let mut head_ended = false;
     let mut header = String::new();
-    while reader.read_line(&mut header).is_ok() {
-        if header == "\r\n" || header == "\n" || header.is_empty() {
-            break;
+    if request_line.ends_with('\n') {
+        while reader.read_line(&mut header).is_ok() {
+            if header == "\r\n" || header == "\n" {
+                head_ended = true;
+                break;
+            }
+            if !header.ends_with('\n') {
+                break;
+            }
+            header.clear();
         }
-        header.clear();
     }
-    let mut stream = reader.into_inner();
-    let response = respond(&request_line, provider);
+    let oversized = !head_ended && reader.limit() == 0;
+    let mut stream = reader.into_inner().into_inner();
+    let response = if oversized {
+        http_response(
+            431,
+            "text/plain; charset=utf-8",
+            "request header fields too large\n",
+        )
+    } else {
+        respond(&request_line, provider)
+    };
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
+    if oversized {
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = std::io::copy(&mut (&stream).take(MAX_DISCARD), &mut std::io::sink());
+    }
 }
 
 /// Route one request line to a full HTTP response string.
@@ -213,6 +243,7 @@ fn http_response(code: u16, content_type: &str, body: &str) -> String {
         200 => "OK",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Unknown",
     };
@@ -281,6 +312,50 @@ mod tests {
 
         server.shutdown();
         // Shutdown is idempotent.
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_gets_431_and_the_server_keeps_serving() {
+        let mut server =
+            TelemetryServer::spawn("127.0.0.1:0", MonitorProvider::new(monitor_with_activity()))
+                .unwrap();
+        let addr = server.addr().to_string();
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let request = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(64 * 1024));
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{response}"
+        );
+        drop(stream);
+
+        let (code, _) = http_get(&addr, "/healthz", Duration::from_secs(5)).unwrap();
+        assert_eq!(code, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_headers_get_431() {
+        let mut server =
+            TelemetryServer::spawn("127.0.0.1:0", MonitorProvider::new(monitor_with_activity()))
+                .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let header = format!("X-Pad: {}\r\n", "b".repeat(100));
+        let request = format!("GET /healthz HTTP/1.1\r\n{}\r\n", header.repeat(100));
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        drop(stream);
         server.shutdown();
     }
 

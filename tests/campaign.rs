@@ -1,13 +1,13 @@
-//! Tier-1 determinism invariant of the parallel campaign runner: a
-//! campaign fanned out over N workers produces results **byte-identical**
-//! to the serial sweep — same `CaseResult`s, same serialized JSON. Each
-//! cell owns its RNG seed and simulation state, and the campaign folds
-//! outcomes in submission order, so this must stay exactly true; any
-//! divergence means shared state or a float-accumulation-order change
-//! leaked in.
+//! Tier-1 determinism invariant of the campaign runner, the one path every
+//! sweep takes: a sweep fanned out over 4 workers produces results
+//! **byte-identical** to the 1-thread (serial) run — same `CaseResult`s,
+//! same serialized JSON. Each cell owns its RNG seed and simulation state,
+//! and the campaign folds outcomes in submission order, so this must stay
+//! exactly true; any divergence means shared state or a
+//! float-accumulation-order change leaked in.
 
-use cosched_bench::campaign::{parallel_load_sweep, parallel_prop_sweep};
-use cosched_bench::harness::{load_sweep, prop_sweep, Scale, SweepPoint};
+use cosched_bench::harness::{Scale, SweepPoint};
+use cosched_bench::{sweep, SweepKind};
 
 fn tiny() -> Scale {
     Scale { days: 2, seeds: 2 }
@@ -17,34 +17,21 @@ fn to_json(points: &[SweepPoint]) -> String {
     serde_json::to_string(&points).expect("sweep points serialize")
 }
 
+/// The 1-thread and 4-thread runs of `kind` agree structurally and, pinned
+/// separately in case the representation changes, byte for byte.
+fn assert_thread_count_invariant(kind: SweepKind) {
+    let serial = sweep(kind, tiny(), 1);
+    let four = sweep(kind, tiny(), 4);
+    assert_eq!(serial, four, "4-thread {} sweep == 1-thread", kind.label());
+    assert_eq!(to_json(&serial), to_json(&four));
+}
+
 #[test]
 fn parallel_load_sweep_is_byte_identical_to_serial() {
-    let scale = tiny();
-    let serial = load_sweep(scale);
-    let one = parallel_load_sweep(scale, 1);
-    let four = parallel_load_sweep(scale, 4);
-    // Structural equality…
-    assert_eq!(
-        serial.points, one.points,
-        "1-thread campaign == serial loop"
-    );
-    assert_eq!(
-        serial.points, four.points,
-        "4-thread campaign == serial loop"
-    );
-    // …and byte identity of the serialized artifact (what lands in
-    // report files): equality of f64s implies equal formatting, but pin
-    // the bytes too so the invariant survives representation changes.
-    let reference = to_json(&serial.points);
-    assert_eq!(reference, to_json(&one.points));
-    assert_eq!(reference, to_json(&four.points));
+    assert_thread_count_invariant(SweepKind::Load);
 }
 
 #[test]
 fn parallel_prop_sweep_is_byte_identical_to_serial() {
-    let scale = tiny();
-    let serial = prop_sweep(scale);
-    let four = parallel_prop_sweep(scale, 4);
-    assert_eq!(serial.points, four.points);
-    assert_eq!(to_json(&serial.points), to_json(&four.points));
+    assert_thread_count_invariant(SweepKind::Proportion);
 }
