@@ -9,14 +9,17 @@
 //! that: after a warm-up call to size the reusable buffers, the hot
 //! paths must perform **zero** heap allocations.
 //!
-//! The counter is thread-local so concurrently running test threads
+//! The counters are thread-local so concurrently running test threads
 //! cannot pollute each other's counts; dealloc is deliberately not
-//! counted (dropping a warm buffer is fine — growing one is not).
+//! counted (dropping a warm buffer is fine — growing one is not). Bytes
+//! are counted as requested: an allocation's size, a reallocation's new
+//! size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use cosched_metrics::JobRecord;
 use cosched_sched::alloc::{BuddyAllocator, FlatAllocator};
 use cosched_sched::backfill::{compute_shadow, compute_shadow_sorted, ProjectedRelease};
 use cosched_sched::policy::{sort_keys, OrderKey};
@@ -29,11 +32,17 @@ struct CountingAlloc;
 thread_local! {
     // `const` init: reading the counter never lazily allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -42,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,6 +64,13 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(|c| c.get());
     f();
     ALLOCS.with(|c| c.get()) - before
+}
+
+/// Bytes requested by `f`'s allocations and reallocations on this thread.
+fn count_bytes(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(|c| c.get());
+    f();
+    BYTES.with(|c| c.get()) - before
 }
 
 fn queue_jobs(n: u64) -> Vec<Job> {
@@ -319,4 +335,48 @@ fn machine_resorting_iteration_is_allocation_free_after_warmup() {
     });
     assert_eq!(order(&machine), [JobId(2), JobId(1)], "scores crossed");
     assert_eq!(n, 0, "re-sorting scheduling iteration must not allocate");
+}
+
+/// A machine running a stream of jobs one after another (submit, pick,
+/// start, finish) keeps only the live job in its table: the memory a job
+/// leaves behind is its record and its id's map entry. After the first
+/// cycles have sized the buffers, a submit-to-finish cycle allocates
+/// nothing.
+#[test]
+fn machine_keeps_only_records_of_finished_jobs() {
+    const JOBS: u64 = 10_000;
+    let mut jobs = (0..JOBS).map(|i| {
+        let runtime = SimDuration::from_secs(5);
+        let submit = SimTime::from_secs(i * 10);
+        Job::new(JobId(i), MachineId(0), submit, 10, runtime, runtime)
+    });
+    let mut cycle = |machine: &mut Machine| {
+        let job = jobs.next().expect("a job per cycle");
+        let (id, now) = (job.id, job.submit);
+        machine.submit(job, now);
+        machine.begin_iteration();
+        let cand = machine.pick_next(now).expect("fits an empty machine");
+        let end = machine.start(cand, now);
+        machine.finish(id, end);
+    };
+    let mut steady = u64::MAX;
+    let mut records = 0;
+    let bytes = count_bytes(|| {
+        let mut machine = Machine::new(MachineConfig::flat("m", MachineId(0), 100));
+        machine.reserve(JOBS as usize);
+        for _ in 0..2 {
+            cycle(&mut machine);
+        }
+        steady = count_allocs(|| {
+            for _ in 2..JOBS {
+                cycle(&mut machine);
+            }
+        });
+        records = machine.records().len();
+    });
+    assert_eq!(records, JOBS as usize);
+    assert_eq!(steady, 0, "a warm submit-to-finish cycle must not allocate");
+    let per_job = bytes / JOBS;
+    let bound = (std::mem::size_of::<JobRecord>() + 48) as u64;
+    assert!(per_job < bound, "{per_job} bytes per job, bound {bound}");
 }

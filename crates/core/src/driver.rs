@@ -761,20 +761,9 @@ impl<O: Observer> CoupledSimulation<O> {
         let horizon = self.now;
         let unfinished =
             [0, 1].map(|m| self.jobs[m].len() - self.domains[m].machine().records().len());
-        let records = self
-            .domains
-            .each_mut()
-            .map(|d| d.machine_mut().take_records());
-        let summaries = [0, 1].map(|m| {
-            MachineSummary::from_records(
-                self.config.machines[m].name.clone(),
-                &records[m],
-                self.config.machines[m].capacity,
-                horizon.max(SimTime::from_secs(1)),
-                self.domains[m].machine().held_node_seconds(horizon),
-            )
-        });
-        // Pair start offsets, over pairs whose jobs both finished.
+        // Pair start offsets, over pairs whose jobs both finished. A machine
+        // answers a finished job's start from its record, so this runs
+        // before the records are taken.
         let mid = |machine| usize::from(machine == self.config.machines[1].machine);
         let finished_start = |m: usize, job| {
             let machine = self.domains[m].machine();
@@ -798,6 +787,19 @@ impl<O: Observer> CoupledSimulation<O> {
             }
         }
         pair_offsets.sort();
+        let records = self
+            .domains
+            .each_mut()
+            .map(|d| d.machine_mut().take_records());
+        let summaries = [0, 1].map(|m| {
+            MachineSummary::from_records(
+                self.config.machines[m].name.clone(),
+                &records[m],
+                self.config.machines[m].capacity,
+                horizon.max(SimTime::from_secs(1)),
+                self.domains[m].machine().held_node_seconds(horizon),
+            )
+        });
         let deadlocked = !aborted && unfinished.iter().any(|&n| n > 0);
         let sched_stats = self.domains.each_ref().map(|d| d.machine().stats());
         let mut report = SimulationReport {

@@ -1,8 +1,14 @@
 //! The single-domain resource manager.
 //!
-//! A [`Machine`] owns a node allocator, a job queue, and the lifecycle state
-//! of every job submitted to it. Scheduling proceeds in *iterations*: the
-//! driver calls [`Machine::begin_iteration`] and then repeatedly
+//! A [`Machine`] owns a node allocator, a job queue, the lifecycle state of
+//! every *live* job (queued, held or running) and the records of the
+//! finished ones. A job's state occupies a slot of the live table from
+//! submit to finish; [`Machine::finish`] copies its facts into a
+//! [`JobRecord`] and frees the slot, so the table stays as small as the
+//! queue plus the running set, however many jobs pass through.
+//!
+//! Scheduling proceeds in *iterations*: the driver calls
+//! [`Machine::begin_iteration`] and then repeatedly
 //! [`Machine::pick_next`], which returns the next *ready* job — selected by
 //! policy order with EASY backfilling — with nodes tentatively allocated.
 //! The caller (the coscheduling layer's `Run_Job`, Algorithm 1 in the paper)
@@ -240,8 +246,18 @@ struct ReleaseEntry {
     job: JobId,
 }
 
-/// A job's index into [`Machine`]'s dense job table, assigned at submit.
+/// A live job's index into [`Machine`]'s job table, taken at submit and
+/// freed at finish.
 type Slot = u32;
+
+/// Where a submitted job's facts are: its slot in the live table while it
+/// is queued, held or running, then the number of its [`JobRecord`] in
+/// finish order.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Live(Slot),
+    Finished(u32),
+}
 
 /// The order key of the job in `slot`, whose state is `st`, at `now`.
 fn order_key(config: &MachineConfig, st: &JobState, slot: Slot, now: SimTime) -> OrderKey {
@@ -254,11 +270,21 @@ fn order_key(config: &MachineConfig, st: &JobState, slot: Slot, now: SimTime) ->
 pub struct Machine {
     config: MachineConfig,
     allocator: Box<dyn NodeAllocator>,
-    /// Every submitted job's state, indexed by its slot: the order of
-    /// submission. Ordering and the pick walk index it directly.
+    /// The live jobs' states, indexed by slot: a slab whose vacant slots
+    /// hold a `Finished` state. Ordering and the pick walk index it
+    /// directly.
     states: Vec<JobState>,
-    /// Slot of each submitted job, for the public [`JobId`] API.
-    slots: IdHashMap<JobId, Slot>,
+    /// Vacant slots `submit` may take.
+    free: Vec<Slot>,
+    /// Slots vacated since the current iteration began. They join `free`
+    /// at the next [`Machine::begin_iteration`], not before: the live pump
+    /// releases its lock between picks, so a finish and a submit can fall
+    /// inside one iteration, and a slot reused then could lead that
+    /// iteration's `iter_order` walk to the new job.
+    freed: Vec<Slot>,
+    /// Where each submitted job is, for the public [`JobId`] API. Finished
+    /// jobs stay, so a resubmitted id is still a duplicate.
+    entries: IdHashMap<JobId, Entry>,
     /// The queued jobs' order keys, in the policy order of the last
     /// iteration; jobs queued since then are appended. Each iteration
     /// rescores them in place and re-sorts only if the order moved.
@@ -269,6 +295,9 @@ pub struct Machine {
     held_nodes: u64,
     running: Vec<JobId>,
     finished: Vec<JobRecord>,
+    /// Records drained by [`Machine::take_records`]: the number of
+    /// `finished[0]`.
+    records_taken: usize,
     pending: Option<Slot>,
     held_ledger: u64,
     predictor: Box<dyn WalltimePredictor>,
@@ -315,12 +344,15 @@ impl Machine {
             config,
             allocator,
             states: Vec::new(),
-            slots: IdHashMap::default(),
+            free: Vec::new(),
+            freed: Vec::new(),
+            entries: IdHashMap::default(),
             queued: Vec::new(),
             held: Vec::new(),
             held_nodes: 0,
             running: Vec::new(),
             finished: Vec::new(),
+            records_taken: 0,
             pending: None,
             held_ledger: 0,
             predictor,
@@ -358,22 +390,32 @@ impl Machine {
         &self.config
     }
 
-    /// Make room for `jobs` more submissions (and their records) without
-    /// reallocating.
+    /// Make room for `jobs` more submissions' id entries and records
+    /// without reallocating. The live table is not reserved: it grows to
+    /// the most jobs live at once, which the trace does not tell.
     pub fn reserve(&mut self, jobs: usize) {
-        self.states.reserve(jobs);
-        self.slots.reserve(jobs);
+        self.entries.reserve(jobs);
         self.finished.reserve(jobs);
     }
 
-    /// The slot of submitted job `id`.
+    /// The slot of live job `id`.
     fn slot(&self, id: JobId) -> Option<usize> {
-        self.slots.get(&id).map(|&s| s as usize)
+        match self.entries.get(&id)? {
+            Entry::Live(slot) => Some(*slot as usize),
+            Entry::Finished(_) => None,
+        }
     }
 
-    /// The state of submitted job `id`.
+    /// The state of live job `id`.
     fn state(&self, id: JobId) -> Option<&JobState> {
         self.slot(id).map(|s| &self.states[s])
+    }
+
+    /// Record number `n` in finish order, unless [`Machine::take_records`]
+    /// drained it.
+    fn record(&self, n: u32) -> Option<&JobRecord> {
+        let i = (n as usize).checked_sub(self.records_taken)?;
+        self.finished.get(i)
     }
 
     /// Enqueue a job at `now`.
@@ -392,10 +434,11 @@ impl Machine {
             job.id
         );
         let id = job.id;
-        let slot = Slot::try_from(self.states.len()).expect("job table overflow");
-        let prev = self.slots.insert(id, slot);
+        let index = self.free.pop().map_or(self.states.len(), |s| s as usize);
+        let slot = Slot::try_from(index).expect("job table overflow");
+        let prev = self.entries.insert(id, Entry::Live(slot));
         assert!(prev.is_none(), "duplicate submission of job {id}");
-        self.states.push(JobState {
+        let state = JobState {
             planned: self.predictor.predict(&job),
             charged: self.allocator.charged_nodes(job.size),
             job,
@@ -407,7 +450,11 @@ impl Machine {
             hold_since_at: UNSET,
             demoted_at: UNSET,
             status: JobStatus::Queued,
-        });
+        };
+        match self.states.get_mut(index) {
+            Some(vacant) => *vacant = state,
+            None => self.states.push(state),
+        }
         self.queued.push(self.order_key(slot, now));
     }
 
@@ -417,12 +464,14 @@ impl Machine {
     }
 
     /// Begin a scheduling iteration: the queue is rescored and put back in
-    /// policy order at the next pick.
+    /// policy order at the next pick, and the slots vacated during the last
+    /// iteration become reusable.
     pub fn begin_iteration(&mut self) {
         assert!(
             self.pending.is_none(),
             "iteration started with a candidate outstanding"
         );
+        self.free.append(&mut self.freed);
         self.stats.iterations += 1;
         self.iter_order_valid = false;
         self.iter_cursor = 0;
@@ -819,8 +868,8 @@ impl Machine {
         Some(handle)
     }
 
-    /// Complete a running job: release nodes and append its
-    /// [`JobRecord`].
+    /// Complete a running job: release nodes, append its [`JobRecord`] and
+    /// free its slot. From here on the record answers for the job.
     ///
     /// # Panics
     /// Panics if the job is not running (an end event for a job in any other
@@ -832,8 +881,14 @@ impl Machine {
             .position(|&r| r == id)
             .unwrap_or_else(|| panic!("finish of non-running job {id}"));
         self.running.remove(pos);
-        let slot = self.slot(id).expect("running job has state");
-        let st = &mut self.states[slot];
+        let number = self.records_taken + self.finished.len();
+        let number = u32::try_from(number).expect("record count overflow");
+        let entry = self.entries.get_mut(&id).expect("running job has state");
+        let Entry::Live(slot) = *entry else {
+            unreachable!("running job {id} is live");
+        };
+        *entry = Entry::Finished(number);
+        let st = &mut self.states[slot as usize];
         let handle = st.alloc.take().expect("running job holds an allocation");
         self.allocator.release(handle);
         st.status = JobStatus::Finished;
@@ -855,16 +910,21 @@ impl Machine {
             yields: st.yields,
             holds: st.holds,
         });
+        self.freed.push(slot);
         self.remove_release(id, projected, nodes);
     }
 
     /// Lifecycle stage of `id` as seen by the protocol.
     pub fn status(&self, id: JobId) -> JobStatus {
-        self.state(id)
-            .map_or(JobStatus::Unsubmitted, |st| st.status)
+        match self.entries.get(&id) {
+            Some(Entry::Live(slot)) => self.states[*slot as usize].status,
+            Some(Entry::Finished(_)) => JobStatus::Finished,
+            None => JobStatus::Unsubmitted,
+        }
     }
 
-    /// The job object, if submitted here.
+    /// The job object, if it is live here: queued, held or running. A
+    /// finished job's facts are in its record ([`Machine::records`]).
     pub fn job(&self, id: JobId) -> Option<&Job> {
         self.state(id).map(|st| &st.job)
     }
@@ -877,17 +937,26 @@ impl Machine {
         Some((&st.job, st.yields))
     }
 
-    /// Number of yields job `id` has performed so far.
+    /// Number of yields job `id` has performed so far; a finished job's
+    /// come from its record, and read 0 once the record is taken.
     pub fn yields_of(&self, id: JobId) -> u32 {
-        self.state(id).map_or(0, |st| st.yields)
+        match self.entries.get(&id) {
+            Some(Entry::Live(slot)) => self.states[*slot as usize].yields,
+            Some(Entry::Finished(n)) => self.record(*n).map_or(0, |r| r.yields),
+            None => 0,
+        }
     }
 
-    /// When job `id` started, if it has (running or finished).
+    /// When job `id` started, if it has (running or finished). A finished
+    /// job's start comes from its record: `None` once the record is taken.
     pub fn start_of(&self, id: JobId) -> Option<SimTime> {
-        self.state(id).and_then(JobState::start)
+        match self.entries.get(&id)? {
+            Entry::Live(slot) => self.states[*slot as usize].start(),
+            Entry::Finished(n) => self.record(*n).map(|r| r.start),
+        }
     }
 
-    /// When job `id` entered its current hold episode, if it is held.
+    /// When live job `id` entered its current hold episode, if it is held.
     /// Drivers use this to discard stale hold-release timers: a timer armed
     /// for an earlier episode no longer matches.
     pub fn hold_since(&self, id: JobId) -> Option<SimTime> {
@@ -916,8 +985,11 @@ impl Machine {
         &self.finished
     }
 
-    /// Drain the completed-job records.
+    /// Drain the completed-job records. The finished jobs stay known as
+    /// finished, but [`Machine::start_of`] and [`Machine::yields_of`] no
+    /// longer have their records to answer from.
     pub fn take_records(&mut self) -> Vec<JobRecord> {
+        self.records_taken += self.finished.len();
         std::mem::take(&mut self.finished)
     }
 
@@ -987,10 +1059,87 @@ mod tests {
 
     #[test]
     fn job_state_stays_compact() {
-        // Every submitted job's state is touched on the hot path; the
+        // Every live job's state is touched on the hot path; the
         // untagged instants and the niche-packed allocation handle keep it
         // at 144 bytes on 64-bit targets.
         assert!(std::mem::size_of::<JobState>() <= 144);
+    }
+
+    /// Submit, pick, start and finish `id` in one iteration at `at`.
+    fn run_one(m: &mut Machine, id: u64, at: u64) {
+        m.submit(job(id, at, 10, 5, 5), t(at));
+        m.begin_iteration();
+        let c = m.pick_next(t(at)).unwrap();
+        assert_eq!(c.job_id, JobId(id));
+        let _ = m.start(c, t(at));
+        m.finish(JobId(id), t(at + 5));
+    }
+
+    #[test]
+    fn finished_jobs_leave_the_table_and_answer_from_their_records() {
+        let mut m = machine(100);
+        m.submit(job(1, 0, 60, 100, 100), t(0));
+        m.begin_iteration();
+        let c = m.pick_next(t(0)).unwrap();
+        m.yield_job(c, t(0));
+        m.begin_iteration();
+        let c = m.pick_next(t(3)).unwrap();
+        let _ = m.start(c, t(3));
+        m.finish(JobId(1), t(103));
+        assert_eq!(m.status(JobId(1)), JobStatus::Finished);
+        assert_eq!(m.start_of(JobId(1)), Some(t(3)));
+        assert_eq!(m.yields_of(JobId(1)), 1);
+        assert!(m.job(JobId(1)).is_none(), "job() covers live jobs only");
+        assert!(m.hold_since(JobId(1)).is_none());
+        assert_eq!(m.records().len(), 1);
+        // Once the records are taken, lookups find nothing, and finished
+        // records that follow are numbered on.
+        assert_eq!(m.take_records().len(), 1);
+        assert_eq!(m.status(JobId(1)), JobStatus::Finished);
+        assert_eq!((m.start_of(JobId(1)), m.yields_of(JobId(1))), (None, 0));
+        run_one(&mut m, 2, 200);
+        assert_eq!(m.start_of(JobId(1)), None);
+        assert_eq!(m.start_of(JobId(2)), Some(t(200)));
+    }
+
+    #[test]
+    fn the_table_holds_only_live_jobs() {
+        let mut m = machine(100);
+        for id in 0..1_000 {
+            run_one(&mut m, id, id * 10);
+        }
+        // Each slot is vacated by a finish and reused after the next
+        // iteration begins: two slots serve a thousand jobs in sequence.
+        assert_eq!(m.states.len(), 2);
+        assert_eq!(m.records().len(), 1_000);
+        assert!(m.drained());
+    }
+
+    #[test]
+    fn a_slot_vacated_mid_iteration_is_not_reused_in_it() {
+        let mut m = machine(100);
+        m.submit(job(1, 0, 10, 5, 5), t(0));
+        m.begin_iteration();
+        let c = m.pick_next(t(0)).unwrap();
+        let _ = m.start(c, t(0));
+        m.finish(JobId(1), t(0));
+        m.submit(job(2, 0, 10, 5, 5), t(0));
+        assert_eq!(
+            m.slot(JobId(2)),
+            Some(1),
+            "slot 0 waits for the next iteration"
+        );
+        m.begin_iteration();
+        m.submit(job(3, 0, 10, 5, 5), t(0));
+        assert_eq!(m.slot(JobId(3)), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate submission")]
+    fn resubmitting_a_finished_job_panics() {
+        let mut m = machine(100);
+        run_one(&mut m, 1, 0);
+        m.submit(job(1, 10, 5, 10, 10), t(10));
     }
 
     #[test]

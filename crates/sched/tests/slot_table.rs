@@ -1,7 +1,14 @@
 //! Model test of `Machine`'s job table: random submit / pick / start /
 //! hold / yield / start_held / release_held / try_start_direct / finish
 //! sequences on a flat and on a buddy machine, checked after every step
-//! against a plain model of each job's lifecycle stage.
+//! against a plain model of each job's lifecycle stage, start and yields.
+//! Finished jobs have left the live table, so their answers come from
+//! their records.
+//!
+//! The machine frees a finished job's slot but reuses it only from the
+//! next iteration on. A job submitted after an iteration's first pick is
+//! not in that iteration's order, so it must not be picked before the
+//! next iteration begins; a slot reused at once would break that.
 //!
 //! It is also the oracle for the queue order the machine keeps between
 //! iterations: at the first pick of every iteration whose head, by a
@@ -58,6 +65,10 @@ struct Modeled {
     status: JobStatus,
     /// Nodes charged while held (what `held_nodes` must sum).
     charged: u64,
+    /// When the job started, once it has.
+    start: Option<SimTime>,
+    /// Yields so far.
+    yields: u32,
 }
 
 /// The plain model: every job's stage, plus the held and running lists in
@@ -69,11 +80,36 @@ struct Model {
     running: Vec<JobId>,
     /// When each job was last forced out of a hold (its demotion instant).
     released_at: BTreeMap<JobId, SimTime>,
+    /// Jobs submitted since the current iteration's first pick: outside
+    /// its order, so not pickable until the next iteration.
+    late: Vec<JobId>,
 }
 
 impl Model {
+    /// `id` was submitted; `late` if after the iteration's first pick.
+    fn submit(&mut self, id: JobId, late: bool) {
+        let job = Modeled {
+            status: JobStatus::Queued,
+            charged: 0,
+            start: None,
+            yields: 0,
+        };
+        self.jobs.insert(id, job);
+        if late {
+            self.late.push(id);
+        }
+    }
+
     fn set(&mut self, id: JobId, status: JobStatus, charged: u64) {
-        self.jobs.insert(id, Modeled { status, charged });
+        let job = self.jobs.get_mut(&id).expect("submitted");
+        (job.status, job.charged) = (status, charged);
+    }
+
+    /// `id` started at `now`.
+    fn start(&mut self, id: JobId, now: SimTime) {
+        self.set(id, JobStatus::Running, 0);
+        self.jobs.get_mut(&id).expect("submitted").start = Some(now);
+        self.running.push(id);
     }
 
     /// The queued job a from-scratch policy sort at `now` puts first.
@@ -96,6 +132,10 @@ impl Model {
         assert_eq!(m.running_jobs(), self.running.as_slice(), "running list");
         for (&id, j) in &self.jobs {
             assert_eq!(m.status(id), j.status, "status of {id}");
+            assert_eq!(m.start_of(id), j.start, "start of {id}");
+            assert_eq!(m.yields_of(id), j.yields, "yields of {id}");
+            let live = j.status != JobStatus::Finished;
+            assert_eq!(m.job(id).is_some(), live, "job() of {id}");
         }
         // An outstanding candidate is still `Queued` but out of the queue.
         let mut queued: Vec<JobId> = self
@@ -130,11 +170,12 @@ fn run(config: MachineConfig, scale: u64, ops: &[Op]) {
                 let [runtime, walltime] = [secs, 2 * secs].map(SimDuration::from_secs);
                 let job = Job::new(id, MachineId(0), now, size * scale, runtime, walltime);
                 m.submit(job, now);
-                model.set(id, JobStatus::Queued, 0);
+                model.submit(id, !first_pick);
             }
             Op::Begin => {
                 m.begin_iteration();
                 first_pick = true;
+                model.late.clear();
             }
             Op::Pick(commit) => {
                 let head = model.policy_head(&m, now);
@@ -152,29 +193,35 @@ fn run(config: MachineConfig, scale: u64, ops: &[Op]) {
                 let Some(cand) = picked else {
                     continue;
                 };
-                assert_eq!(m.status(cand.job_id), JobStatus::Queued);
+                let id = cand.job_id;
+                assert!(
+                    !model.late.contains(&id),
+                    "job {id}, submitted after this iteration's first pick, was picked in it"
+                );
+                assert_eq!(m.status(id), JobStatus::Queued);
                 model.check(&m, Some(&cand));
-                let (id, charged) = (cand.job_id, cand.charged);
+                let charged = cand.charged;
                 assert!(charged >= cand.size);
                 match commit {
                     0 => {
                         let _ = m.start(cand, now);
-                        model.set(id, JobStatus::Running, 0);
-                        model.running.push(id);
+                        model.start(id, now);
                     }
                     1 => {
                         m.hold(cand, now);
                         model.set(id, JobStatus::Held, charged);
                         model.held.push(id);
                     }
-                    _ => m.yield_job(cand, now),
+                    _ => {
+                        m.yield_job(cand, now);
+                        model.jobs.get_mut(&id).expect("submitted").yields += 1;
+                    }
                 }
             }
             Op::StartHeld(i) if !model.held.is_empty() => {
                 let id = model.held.remove(i % model.held.len());
                 assert!(m.start_held(id, now).is_some());
-                model.set(id, JobStatus::Running, 0);
-                model.running.push(id);
+                model.start(id, now);
             }
             Op::ReleaseHeld(i) if !model.held.is_empty() => {
                 let id = model.held.remove(i % model.held.len());
@@ -189,8 +236,7 @@ fn run(config: MachineConfig, scale: u64, ops: &[Op]) {
                 }
                 let id = queued[i % queued.len()];
                 if m.try_start_direct(id, now).is_some() {
-                    model.set(id, JobStatus::Running, 0);
-                    model.running.push(id);
+                    model.start(id, now);
                 }
             }
             Op::Finish(i) if !model.running.is_empty() => {
@@ -208,14 +254,40 @@ fn run(config: MachineConfig, scale: u64, ops: &[Op]) {
     assert_eq!(m.records().len(), finished.count(), "one record per finish");
 }
 
+fn flat_wfp() -> MachineConfig {
+    let mut config = MachineConfig::flat("flat", MachineId(0), 100);
+    config.policy = PolicyKind::Wfp;
+    config
+}
+
+/// Job 1 is direct-started from ahead of the walk's cursor and finishes
+/// between two picks of one iteration; job 2 is submitted then. Job 1's
+/// slot is still in the iteration's order, so if job 2 took it at once,
+/// the second pick would reach job 2 through it.
+#[test]
+fn a_job_submitted_mid_iteration_waits_for_the_next_one() {
+    use Op::*;
+    let ops = [
+        Submit(10, 100),
+        Submit(10, 100),
+        Begin,
+        Pick(0),
+        TryDirect(0),
+        Finish(1),
+        Submit(10, 100),
+        Pick(0),
+        Begin,
+        Pick(0),
+    ];
+    run(flat_wfp(), 1, &ops);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn flat_machine_job_table_matches_the_model(ops in ops()) {
-        let mut config = MachineConfig::flat("flat", MachineId(0), 100);
-        config.policy = PolicyKind::Wfp;
-        run(config, 1, &ops);
+        run(flat_wfp(), 1, &ops);
     }
 
     #[test]
@@ -224,5 +296,23 @@ proptest! {
         let config = MachineConfig::intrepid(MachineId(0));
         assert_eq!(config.allocator, AllocatorKind::Buddy { unit: 512 });
         run(config, 40, &ops);
+    }
+}
+
+// The same properties at 4,096 cases each; CI runs them in release with
+// `--ignored`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+    #[test]
+    #[ignore = "4,096 cases; run in release with --ignored"]
+    fn flat_machine_job_table_matches_the_model_at_length(ops in ops()) {
+        run(flat_wfp(), 1, &ops);
+    }
+
+    #[test]
+    #[ignore = "4,096 cases; run in release with --ignored"]
+    fn buddy_machine_job_table_matches_the_model_at_length(ops in ops()) {
+        run(MachineConfig::intrepid(MachineId(0)), 40, &ops);
     }
 }

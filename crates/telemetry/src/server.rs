@@ -1,15 +1,16 @@
 //! Embedded blocking HTTP/1.1 server for the telemetry endpoints.
 //!
-//! Deliberately minimal: std `TcpListener`, one serving thread, handled
-//! connections closed after each response (`Connection: close`). That is
-//! all a scrape target needs, and it keeps the telemetry plane free of
-//! external dependencies. Responses are built from a [`TelemetryProvider`]
+//! Deliberately minimal: std `TcpListener`, one accepting thread, each
+//! connection read and answered on a short-lived thread of its own and
+//! closed after the response (`Connection: close`). That is all a scrape
+//! target needs, and it keeps the telemetry plane free of external
+//! dependencies. Responses are built from a [`TelemetryProvider`]
 //! snapshot at request time, so scrapes observe the run mid-flight without
 //! synchronizing with it.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -39,8 +40,9 @@ impl Health {
 }
 
 /// Source of the three endpoint payloads. Implementations must be cheap
-/// enough to call per request and safe to call from the serving thread.
-pub trait TelemetryProvider: Send + 'static {
+/// enough to call per request and safe to call from several connection
+/// threads at once.
+pub trait TelemetryProvider: Send + Sync + 'static {
     /// Prometheus 0.0.4 text for `GET /metrics`.
     fn metrics_text(&self) -> String;
     /// JSON document for `GET /state`.
@@ -149,16 +151,61 @@ impl Drop for TelemetryServer {
     }
 }
 
+/// Most connections served at once. A connection beyond them is answered
+/// 503 without being read.
+const MAX_CONNECTIONS: usize = 16;
+
+/// How long a connection may take to send its request, and to take the
+/// response.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Accept connections and serve each on a thread of its own, so a client
+/// that connects and stays silent holds one thread until [`IO_TIMEOUT`]
+/// while every other scrape is answered. The connection threads are
+/// scoped: the serving thread joins them before it returns.
 fn serve<P: TelemetryProvider>(listener: TcpListener, provider: P, stop: Arc<AtomicBool>) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
+    let active = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for stream in listener.incoming() {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(mut stream) = stream else { continue };
+            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+            if active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                let busy = http_response(503, "text/plain; charset=utf-8", "busy\n");
+                let _ = stream.write_all(busy.as_bytes());
+                continue;
+            }
+            let slot = ConnectionSlot::take(&active);
+            let provider = &provider;
+            // A thread that cannot be spawned drops the connection and
+            // its slot.
+            let _ = std::thread::Builder::new()
+                .name("cosched-telemetry-conn".to_string())
+                .spawn_scoped(scope, move || {
+                    let _slot = slot;
+                    handle_connection(stream, provider);
+                });
         }
-        let Ok(stream) = stream else { continue };
-        // A stalled client must not wedge the serving loop.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        handle_connection(stream, &provider);
+    });
+}
+
+/// One of the [`MAX_CONNECTIONS`], given back when dropped, also when the
+/// connection's thread panics.
+struct ConnectionSlot<'a>(&'a AtomicUsize);
+
+impl<'a> ConnectionSlot<'a> {
+    fn take(active: &'a AtomicUsize) -> Self {
+        active.fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(active)
+    }
+}
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -356,6 +403,27 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
         drop(stream);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_silent_connection_does_not_block_healthz() {
+        let mut server =
+            TelemetryServer::spawn("127.0.0.1:0", MonitorProvider::new(monitor_with_activity()))
+                .unwrap();
+        let addr = server.addr().to_string();
+        // The silent connection is queued first, so the server accepts it
+        // before the scrape.
+        let silent = TcpStream::connect(&addr).unwrap();
+        let asked = std::time::Instant::now();
+        let (code, _) = http_get(&addr, "/healthz", Duration::from_secs(5)).unwrap();
+        let waited = asked.elapsed();
+        assert_eq!(code, 200);
+        assert!(
+            waited < Duration::from_millis(500),
+            "answered after {waited:?}"
+        );
+        drop(silent);
         server.shutdown();
     }
 
