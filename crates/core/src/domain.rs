@@ -6,10 +6,10 @@
 //! only home of the protocol handler ([`Domain::handle`]), the decision
 //! commit ([`Domain::commit`]), the §IV-E1 batch release policy
 //! ([`Domain::arm_sweep`], [`Domain::sweep`], [`Domain::release_holds`]),
-//! and submission ([`Domain::submit`]). The coupled simulator
-//! ([`crate::driver`]) drives two domains from its event queue and the k-way
-//! engine ([`crate::nway`]) drives k; the live daemon ([`crate::live`])
-//! wraps one in a mutex and drives it from a clock over a real transport.
+//! and submission ([`Domain::submit`]). The event loop of [`crate::driver`]
+//! drives k domains from its event queue (two for the coupled simulator);
+//! the live daemon ([`crate::live`]) wraps one in a mutex and drives it
+//! from a clock over a real transport.
 //! All obey the same rules because they run this code.
 //!
 //! State changes record their trace events into the observer passed in.
@@ -71,7 +71,7 @@ pub struct Ready {
     pub cand: Candidate,
     /// The ready job.
     pub job: Job,
-    cfg: CoschedConfig,
+    pub(crate) cfg: CoschedConfig,
     capacity: u64,
     held_nodes: u64,
     yields_so_far: u32,

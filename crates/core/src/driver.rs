@@ -1,24 +1,28 @@
-//! The coupled event-driven simulator.
+//! The coupled event-driven simulator: the one event loop of this crate.
 //!
 //! Reproduces the evaluation vehicle of §V-A: Qsim (the event-driven
 //! simulator shipped with Cobalt) "extended … to support multi-domain
-//! coscheduling simulation". Both machines run inside one deterministic
-//! event loop as two `Domain`s — the same domain core the live daemon
+//! coscheduling simulation". Each machine runs inside one deterministic
+//! event loop as a `Domain` — the same domain core the live daemon
 //! ([`crate::live`]) wraps — so the simulator exercises the deployment's
 //! protocol handler, decision commit, and release policy, not copies of
 //! them. Coordination between the domains goes through the protocol
 //! vocabulary of `cosched-proto` over an in-process "wire".
 //!
-//! What lives here is what only a simulation has: the event queue,
-//! transport-level fault injection (a down peer, status timeouts, unknown
-//! statuses), causal spans (pair roots cross machines), and the report.
+//! The loop runs k domains. [`CoupledSimulation`] is the paper's k = 2
+//! case, deciding each ready job by Algorithm 1 over the mate registry;
+//! [`crate::nway::NwaySimulation`] decides by its §VI relations instead and
+//! adds the `StartAfter` gate, a hook at arrival and at start. What lives
+//! here is what only a simulation has: the event queue, transport-level
+//! fault injection (a down peer, status timeouts, unknown statuses), causal
+//! spans (relation roots cross machines), and the 2-way report.
 //!
 //! Events are job arrivals, job completions, and release sweeps (the
-//! deadlock breaker). Arrivals stream from the submit-sorted traces through
-//! one cursor per machine; only completions and sweeps go through the event
-//! queue. Every event triggers a scheduling iteration on its machine; each
-//! ready candidate passes through Algorithm 1, which may make protocol calls
-//! that start jobs on the *other* machine (the simultaneous pair start).
+//! deadlock breaker). Arrivals stream from the stable-sorted traces through
+//! one cursor per machine; only completions, sweeps and gated arrivals go
+//! through the event queue. Every event triggers a scheduling iteration on
+//! its machine, whose decisions may make protocol calls that start jobs on
+//! *other* machines (the simultaneous start).
 //!
 //! Termination: the loop ends when the arrivals and the event queue drain.
 //! If jobs remain unfinished at that point, the run **deadlocked** —
@@ -27,8 +31,9 @@
 //! no job can start").
 
 use crate::algorithm::Decision;
-use crate::config::CoupledConfig;
+use crate::config::{CoschedConfig, CoupledConfig};
 use crate::domain::{Domain, Sweep};
+use crate::nway::{Constraint, Groups, Member};
 use crate::registry::MateRegistry;
 use cosched_metrics::{JobRecord, MachineSummary};
 use cosched_obs::metrics::HistogramSnapshot;
@@ -37,17 +42,17 @@ use cosched_obs::{
     PhaseSnapshot, SpanKind, TraceEvent, GLOBAL, NO_JOB, NO_SPAN,
 };
 use cosched_proto::{MateStatus, ProtoError, Request, Response};
-use cosched_sched::{JobStatus, Machine, SchedStats};
+use cosched_sched::{JobStatus, Machine, MachineConfig, SchedStats};
 use cosched_sim::{EventQueue, IdHashMap, IdHashSet, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, Trace};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Events driving the coupled simulation. Arrivals are read off the traces
-/// in order and never enter the event queue.
+/// Events driving the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// Trace job `idx` arrives at machine `m`.
+    /// Trace job `idx` arrives at machine `m`. Read off the traces in order,
+    /// never queued, except when the `StartAfter` gate re-queues it.
     Arrival { m: usize, idx: usize },
     /// A running job completes.
     JobEnd { m: usize, job: JobId },
@@ -166,6 +171,14 @@ impl SimulationReport {
     }
 }
 
+/// A relation root span's key: its first member as (machine, job id) —
+/// for a mate pair, the machine-0 member.
+type RootKey = (usize, u64);
+
+/// The relation root a job belongs to: its key, the root span's subject
+/// (the first two members' job ids), and how many members it has.
+pub(crate) type Root = (RootKey, (u64, u64), usize);
+
 /// Open-span bookkeeping for causal tracing. Span ids are dense and
 /// assigned in emission order from deterministic state only, so same-seed
 /// runs produce byte-identical span records. Populated only while the
@@ -174,9 +187,9 @@ impl SimulationReport {
 struct SpanBook {
     /// Last span id handed out (ids start at 1; 0 is [`NO_SPAN`]).
     next: u64,
-    /// Open pair root spans and which members have started, keyed by
-    /// (machine-0 member id, machine-1 member id).
-    pairs: IdHashMap<(u64, u64), (u64, [bool; 2])>,
+    /// Open relation root spans and how many of their members have yet to
+    /// start.
+    roots: IdHashMap<RootKey, (u64, usize)>,
     /// Open hold spans keyed by (machine, job).
     hold: IdHashMap<(usize, u64), u64>,
     /// Open yield-episode spans keyed by (machine, job).
@@ -196,15 +209,12 @@ struct Timing {
 /// The (job, mate) a span concerns when it concerns none.
 const NO_SUBJECT: (u64, u64) = (NO_JOB, NO_JOB);
 
-/// Canonical pair key for a paired job on machine `m`:
+/// The root of a paired job on machine `m` of a coupled pair, about
 /// (machine-0 member id, machine-1 member id).
-fn pair_key(m: usize, job: &Job) -> Option<(u64, u64)> {
-    let mate = job.mate.as_ref()?;
-    Some(if m == 0 {
-        (job.id.0, mate.job.0)
-    } else {
-        (mate.job.0, job.id.0)
-    })
+fn pair_root(m: usize, job: &Job) -> Option<Root> {
+    let (id, mate) = (job.id.0, job.mate.as_ref()?.job.0);
+    let pair = if m == 0 { (id, mate) } else { (mate, id) };
+    Some(((0, pair.0), pair, 2))
 }
 
 impl SpanBook {
@@ -242,36 +252,31 @@ impl SpanBook {
         }
     }
 
-    /// Open the pair's root span at the first submit of either member. The
+    /// Open a relation's root span at the first submit of any member. The
     /// span belongs to no single machine ([`GLOBAL`]): the rendezvous is a
-    /// cross-machine lifetime, closed only when both members have started.
-    fn open_pair<O: Observer>(&mut self, obs: &mut O, now: u64, m: usize, job: &Job) {
-        let Some(key) = pair_key(m, job).filter(|_| obs.active()) else {
-            return;
-        };
-        if !self.pairs.contains_key(&key) {
-            let id = self.open(obs, now, GLOBAL, NO_SPAN, SpanKind::PairRendezvous, key);
-            self.pairs.insert(key, (id, [false, false]));
+    /// cross-machine lifetime, closed only when every member has started.
+    fn open_root<O: Observer>(&mut self, obs: &mut O, now: u64, root: Option<Root>) {
+        if let Some((key, subject, members)) = root.filter(|(k, ..)| !self.roots.contains_key(k)) {
+            let id = self.open(obs, now, GLOBAL, NO_SPAN, SpanKind::PairRendezvous, subject);
+            self.roots.insert(key, (id, members));
         }
     }
 
-    /// The open pair-root span id for a job on machine `m` ([`NO_SPAN`]
-    /// when untraced, unpaired, or already closed).
-    fn pair_of(&self, m: usize, job: &Job) -> u64 {
-        pair_key(m, job)
-            .and_then(|key| self.pairs.get(&key))
-            .map_or(NO_SPAN, |&(root, _)| root)
+    /// The open root span id of `root` ([`NO_SPAN`] when untraced, without
+    /// a relation, or already closed).
+    fn root(&self, root: Option<Root>) -> u64 {
+        root.and_then(|(key, ..)| self.roots.get(&key))
+            .map_or(NO_SPAN, |&(id, _)| id)
     }
 
-    /// A hold or yield decision opens the job's wait span under its pair
-    /// root. A yield episode spans from the first yield to the job's
-    /// eventual start; repeated yields stay inside it.
+    /// A hold or yield decision opens the job's wait span under its
+    /// relation root `parent`. A yield episode spans from the first yield
+    /// to the job's eventual start; repeated yields stay inside it.
     fn open_wait<O: Observer>(
         &mut self,
         obs: &mut O,
         now: u64,
-        m: usize,
-        job: &Job,
+        (m, job, parent): (usize, &Job, u64),
         decision: Decision,
     ) {
         let key = (m, job.id.0);
@@ -280,7 +285,6 @@ impl SpanBook {
             Decision::Yield if !self.yielding.contains_key(&key) => SpanKind::YieldWait,
             _ => return,
         };
-        let parent = self.pair_of(m, job);
         let mate = job.mate.as_ref().map_or(NO_JOB, |r| r.job.0);
         let id = self.open(obs, now, m, parent, kind, (job.id.0, mate));
         if id != NO_SPAN {
@@ -299,161 +303,131 @@ impl SpanBook {
         }
     }
 
-    /// `job` started on machine `m`: close its open yield/hold spans, mark
-    /// its pair member as started, and close the pair root span once both
-    /// members run.
-    fn started<O: Observer>(&mut self, obs: &mut O, now: u64, m: usize, job: &Job) {
-        if let Some(id) = self.yielding.remove(&(m, job.id.0)) {
+    /// `job` started on machine `m`: close its open yield/hold spans, count
+    /// it started in its relation `root`, and close the root span once
+    /// every member runs.
+    fn started<O: Observer>(
+        &mut self,
+        obs: &mut O,
+        now: u64,
+        m: usize,
+        job: JobId,
+        root: Option<Root>,
+    ) {
+        if let Some(id) = self.yielding.remove(&(m, job.0)) {
             Self::close(obs, now, m, id);
         }
-        self.close_hold(obs, now, m, job.id);
-        let Some(key) = pair_key(m, job) else {
+        self.close_hold(obs, now, m, job);
+        let Some((key, ..)) = root else {
             return;
         };
-        if let Some((root, started)) = self.pairs.get_mut(&key) {
-            started[m] = true;
-            if *started == [true, true] {
-                Self::close(obs, now, GLOBAL, *root);
-                self.pairs.remove(&key);
+        if let Some((id, left)) = self.roots.get_mut(&key) {
+            *left -= 1;
+            if *left == 0 {
+                Self::close(obs, now, GLOBAL, *id);
+                self.roots.remove(&key);
             }
         }
     }
 }
 
-/// The coupled simulator: two domains, one event loop, protocol-mediated
-/// coordination.
-///
-/// Generic over an [`Observer`] receiving the structured trace-event stream;
-/// the default [`NoopObserver`] is zero-sized and compiles every tracing
-/// path away. Observers are pure consumers: attaching one cannot change the
-/// simulation outcome.
-pub struct CoupledSimulation<O: Observer = NoopObserver> {
-    config: CoupledConfig,
-    domains: [Domain; 2],
-    /// Each machine's jobs, sorted by submit: the arrival streams.
-    jobs: [Vec<Job>; 2],
-    /// Completions and release sweeps.
+/// The event loop over k domains that both simulators run: streamed
+/// arrivals, the event queue, fault injection, spans and the run counters.
+pub(crate) struct Engine<O: Observer> {
+    domains: Vec<Domain>,
+    /// Each machine's jobs, stable-sorted by submit: the arrival streams.
+    jobs: Vec<Vec<Job>>,
+    /// The k-way relations deciding ready jobs; `None` runs Algorithm 1
+    /// over the mate registry.
+    groups: Option<Arc<Groups>>,
+    /// `StartAfter` gate: when each successor may be submitted, known once
+    /// its predecessor started.
+    opens: IdHashMap<Member, SimTime>,
+    /// `StartAfter` gate: successors that arrived before their predecessor
+    /// started, as (machine, trace position).
+    parked: IdHashMap<Member, (usize, usize)>,
+    /// Completions, release sweeps and gated arrivals.
     queue: EventQueue<Event>,
-    now: SimTime,
-    events: u64,
-    forced_releases: u64,
+    pub(crate) now: SimTime,
+    pub(crate) events: u64,
+    max_events: u64,
+    pub(crate) forced_releases: u64,
     /// Fault injection: when false, protocol calls *to* machine `m` fail
     /// with a transport error.
-    reachable: [bool; 2],
+    reachable: Vec<bool>,
     /// Fault injection: jobs whose status reads back as `Unknown`
     /// ("the mate job fails alone").
     unknown_status: IdHashSet<(usize, JobId)>,
-    /// Rendezvous audit: jobs the peer started, keyed by `(machine, id)`;
+    /// Rendezvous audit: jobs a peer started, keyed by `(machine, id)`;
     /// `true` for a hold anchor (`StartJob` on a held mate), `false` for
     /// `TryStartMate`.
     peer_started: IdHashMap<(usize, JobId), bool>,
     /// Fault injection: `GetMateStatus` calls to machine `m` time out, so
     /// the caller sees `MateStatus::Unknown` and starts normally.
-    status_timeout: [bool; 2],
+    status_timeout: Vec<bool>,
     /// Deterministic run counters (always on).
     stats: RunStats,
     /// Wall-clock instrumentation: present only under
-    /// [`CoupledSimulation::run_traced`], so [`CoupledSimulation::run`]
-    /// reads no clock.
+    /// [`CoupledSimulation::run_traced`], so every other run reads no clock.
     timing: Option<Timing>,
     /// Causal-span bookkeeping; empty unless the observer is active.
     spans: SpanBook,
     observer: O,
 }
 
-impl CoupledSimulation {
-    /// Build a simulation from a coupled configuration and the two traces.
-    ///
-    /// # Panics
-    /// Panics if a trace's machine id does not match its config slot or the
-    /// pairing between the traces is invalid.
-    pub fn new(config: CoupledConfig, traces: [Trace; 2]) -> Self {
-        Self::with_observer(config, traces, NoopObserver)
-    }
-}
-
-impl<O: Observer> CoupledSimulation<O> {
-    /// Build a simulation whose trace-event stream feeds `observer`.
-    ///
-    /// # Panics
-    /// Panics if a trace's machine id does not match its config slot or the
-    /// pairing between the traces is invalid.
-    pub fn with_observer(config: CoupledConfig, traces: [Trace; 2], observer: O) -> Self {
-        for (i, t) in traces.iter().enumerate() {
-            assert_eq!(
-                t.machine(),
-                config.machines[i].machine,
-                "trace {i} targets {}, config expects {}",
-                t.machine(),
-                config.machines[i].machine
-            );
-        }
-        let registry = Arc::new(MateRegistry::from_traces(&traces[0], &traces[1]));
-        let domains = [0, 1].map(|m| {
-            let mut machine = Machine::new(config.machines[m].clone());
-            machine.reserve(traces[m].len());
-            machine.set_tracing(observer.active());
-            Domain::new(
-                machine,
-                config.cosched[m].clone(),
-                Arc::clone(&registry),
-                config.machines[1 - m].machine,
-                m,
-            )
-        });
+impl<O: Observer> Engine<O> {
+    /// One domain per machine of `machines` (with its `cosched` config),
+    /// all sharing `mates`, fed by `traces` in machine order. `groups`
+    /// makes the k-way relations decide instead of Algorithm 1.
+    pub(crate) fn new(
+        (machines, cosched): (&[MachineConfig], &[CoschedConfig]),
+        mates: MateRegistry,
+        traces: Vec<Trace>,
+        groups: Option<Arc<Groups>>,
+        max_events: u64,
+        observer: O,
+    ) -> Self {
+        let (k, mates) = (machines.len(), Arc::new(mates));
+        let domains = (0..k)
+            .map(|m| {
+                let mut machine = Machine::new(machines[m].clone());
+                machine.reserve(traces[m].len());
+                machine.set_tracing(observer.active());
+                // Partners of k-way relations come from the group registry,
+                // never from `GetMateJob`, so there the peer is nominal.
+                let peer = machines[(m + 1) % k].machine;
+                Domain::new(machine, cosched[m].clone(), Arc::clone(&mates), peer, m)
+            })
+            .collect();
         // A stable sort keeps same-instant arrivals in trace order; on the
         // sorted traces every builder makes it is a linear no-op pass.
-        let jobs = traces.map(|t| {
-            let mut jobs = t.into_jobs();
-            jobs.sort_by_key(|j| j.submit);
-            jobs
-        });
-        CoupledSimulation {
-            config,
+        let jobs = (traces.into_iter())
+            .map(|t| {
+                let mut jobs = t.into_jobs();
+                jobs.sort_by_key(|j| j.submit);
+                jobs
+            })
+            .collect();
+        Engine {
             domains,
             jobs,
+            groups,
+            opens: IdHashMap::default(),
+            parked: IdHashMap::default(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             events: 0,
+            max_events,
             forced_releases: 0,
-            reachable: [true, true],
+            reachable: vec![true; k],
             unknown_status: IdHashSet::default(),
             peer_started: IdHashMap::default(),
-            status_timeout: [false, false],
+            status_timeout: vec![false; k],
             stats: RunStats::default(),
             timing: None,
             spans: SpanBook::default(),
             observer,
         }
-    }
-
-    /// Fault injection: make protocol calls to machine `m` fail (simulates
-    /// the remote system being down).
-    pub fn set_reachable(&mut self, m: usize, up: bool) {
-        self.reachable[m] = up;
-    }
-
-    /// Fault injection: make `GetMateStatus` calls to machine `m` time out.
-    /// Per Algorithm 1 lines 25–26 the caller treats the status as
-    /// `Unknown` and starts the ready job normally.
-    pub fn inject_status_timeout(&mut self, m: usize, on: bool) {
-        self.status_timeout[m] = on;
-    }
-
-    /// Fault injection: make machine `m` report `Unknown` for `job`'s
-    /// status (simulates the mate job failing alone).
-    pub fn mark_status_unknown(&mut self, m: usize, job: JobId) {
-        self.unknown_status.insert((m, job));
-    }
-
-    /// Direct access to a machine (tests and examples).
-    pub fn machine(&self, m: usize) -> &Machine {
-        self.domains[m].machine()
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Forward trace events the scheduler logged during its last calls,
@@ -467,34 +441,57 @@ impl<O: Observer> CoupledSimulation<O> {
         }
     }
 
-    /// Job `id` started on machine `m`: settle its spans.
-    fn span_started(&mut self, m: usize, id: JobId) {
+    /// The relation root of `job` on machine `m`, if it has one.
+    fn root_of(&self, m: usize, job: &Job) -> Option<Root> {
+        match &self.groups {
+            None => pair_root(m, job),
+            Some(groups) => groups.root(m, job.id),
+        }
+    }
+
+    /// Job `id` started on machine `m`: settle its spans, and open the
+    /// `StartAfter` gates of its successors.
+    fn started(&mut self, m: usize, id: JobId) {
         if self.observer.active() {
             let job = self.domains[m].machine().job(id).expect("started job");
-            self.spans
-                .started(&mut self.observer, self.now.as_secs(), m, job);
+            let root = self.root_of(m, job);
+            (self.spans).started(&mut self.observer, self.now.as_secs(), m, id, root);
+        }
+        let Some(groups) = &self.groups else {
+            return;
+        };
+        let me = (groups.machines[m], id);
+        for &(successor, min_delay) in groups.registry.after.get(&me).into_iter().flatten() {
+            let at = self.now + min_delay;
+            self.opens.insert(successor, at);
+            if let Some((m, idx)) = self.parked.remove(&successor) {
+                self.queue.push(at, Event::Arrival { m, idx });
+            }
         }
     }
 
-    /// Run to completion and build the report. Reads no clock: the
-    /// wall-clock profile is only built by [`CoupledSimulation::run_traced`].
-    pub fn run(self) -> SimulationReport {
-        self.execute().0
-    }
-
-    /// Run to completion, returning the report together with the observer
-    /// (to read back an attached sink) and the wall-clock profile. The
-    /// profile is filled whatever the observer, [`NoopObserver`] included.
-    pub fn run_traced(mut self) -> RunArtifacts<O> {
-        self.timing = Some(Timing::default());
-        let (report, observer, timing) = self.execute();
-        let timing = timing.expect("timing was switched on above");
-        RunArtifacts {
-            report,
-            observer,
-            profile: timing.profiler.snapshot(),
-            rpc_latency_ns: timing.rpc_latency.snapshot("rpc.latency_ns"),
+    /// The `StartAfter` gate at arrival: whether trace job `idx` of machine
+    /// `m` is submitted now. A successor held back is queued again for its
+    /// gate's opening, or parked until its predecessor starts.
+    fn admit(&mut self, m: usize, idx: usize) -> bool {
+        let Some(groups) = &self.groups else {
+            return true;
+        };
+        let me = (groups.machines[m], self.jobs[m][idx].id);
+        let edge = groups.registry.driving(me);
+        if !matches!(edge, Some((Constraint::StartAfter { .. }, _))) {
+            return true;
         }
+        match self.opens.get(&me) {
+            Some(&at) if at > self.now => {
+                self.queue.push(at, Event::Arrival { m, idx });
+            }
+            Some(_) => return true,
+            None => {
+                self.parked.insert(me, (m, idx));
+            }
+        }
+        false
     }
 
     /// A wall-clock stamp, taken only while timing is on.
@@ -513,19 +510,19 @@ impl<O: Observer> CoupledSimulation<O> {
         }
     }
 
-    /// The event loop. Each step dispatches the earliest of machine 0's
-    /// next arrival, machine 1's next arrival and the queue's top; ties go
-    /// to arrivals, machine 0's first. That is the `(time, seq)` order of a
-    /// queue seeded with every arrival up front (machine 0's first), and the
-    /// high-water mark counts undispatched arrivals as pending to match it.
-    fn execute(mut self) -> (SimulationReport, O, Option<Timing>) {
-        let mut next = [0usize; 2];
-        let mut unarrived = self.jobs[0].len() + self.jobs[1].len();
+    /// Run to the end. Each step dispatches the earliest of every machine's
+    /// next arrival and the queue's top; ties go to arrivals, in machine
+    /// order. That is the `(time, seq)` order of a queue seeded with every
+    /// arrival up front, machine by machine, and the high-water mark counts
+    /// undispatched arrivals as pending to match it. Returns whether the
+    /// `max_events` valve aborted the run, and the high-water mark.
+    pub(crate) fn execute(&mut self) -> (bool, usize) {
+        let mut next = vec![0usize; self.jobs.len()];
+        let mut unarrived: usize = self.jobs.iter().map(Vec::len).sum();
         let mut high_water = unarrived;
-        let mut aborted = false;
         loop {
-            let arrival = (0..2)
-                .filter_map(|m| Some((self.jobs[m].get(next[m])?.submit, m)))
+            let arrival = (self.jobs.iter().zip(&next).enumerate())
+                .filter_map(|(m, (jobs, &i))| Some((jobs.get(i)?.submit, m)))
                 .min();
             let queued = self.queue.peek_time();
             let (time, event) = match arrival {
@@ -537,12 +534,11 @@ impl<O: Observer> CoupledSimulation<O> {
                 }
                 _ => match self.queue.pop() {
                     Some(ev) => (ev.time, ev.event),
-                    None => break,
+                    None => return (false, high_water),
                 },
             };
-            if self.events >= self.config.max_events {
-                aborted = true;
-                break;
+            if self.events >= self.max_events {
+                return (true, high_water);
             }
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
@@ -550,16 +546,20 @@ impl<O: Observer> CoupledSimulation<O> {
             self.dispatch(event);
             high_water = high_water.max(self.queue.len() + unarrived);
         }
-        self.report(aborted, high_water)
     }
 
     fn dispatch(&mut self, event: Event) {
         let now = self.now;
         match event {
             Event::Arrival { m, idx } => {
+                if !self.admit(m, idx) {
+                    return;
+                }
                 let job = self.jobs[m][idx].clone();
-                self.spans
-                    .open_pair(&mut self.observer, now.as_secs(), m, &job);
+                if self.observer.active() {
+                    let root = self.root_of(m, &job);
+                    (self.spans).open_root(&mut self.observer, now.as_secs(), root);
+                }
                 self.domains[m]
                     .submit(job, now, &mut self.observer)
                     .expect("traces are validated at construction");
@@ -603,7 +603,7 @@ impl<O: Observer> CoupledSimulation<O> {
     }
 
     /// One scheduling iteration on machine `m`: drain ready candidates
-    /// through Algorithm 1.
+    /// through the decision — Algorithm 1, or the k-way relations.
     fn iterate(&mut self, m: usize) {
         let iter_t0 = self.stamp();
         let (now, t) = (self.now, self.now.as_secs());
@@ -633,14 +633,20 @@ impl<O: Observer> CoupledSimulation<O> {
                 size: cand.size,
                 via_backfill: cand.via_backfill,
             });
-            // RPC spans for this decision parent under the pair root (the
-            // span context a live transport would carry in its frames).
-            let rpc_parent = if self.observer.active() {
-                self.spans.pair_of(m, &ready.job)
+            // The decision's RPC and wait spans parent under the relation
+            // root (the span context a live transport would carry in its
+            // frames).
+            let root = if self.observer.active() {
+                self.spans.root(self.root_of(m, &ready.job))
             } else {
                 NO_SPAN
             };
-            let outcome = ready.decide(|req| self.remote_call(1 - m, req, rpc_parent));
+            let outcome = match self.groups.clone() {
+                None => ready.decide(|req| self.remote_call((m, 1 - m), req, root)),
+                Some(groups) => {
+                    groups.decide(m, &ready, |to, req| self.remote_call((m, to), req, root))
+                }
+            };
             match outcome.shift {
                 Some(TraceEvent::CoschedHeldCapDegradation { .. }) => self.stats.degradations += 1,
                 Some(TraceEvent::CoschedYieldCapEscalation { .. }) => self.stats.escalations += 1,
@@ -658,11 +664,11 @@ impl<O: Observer> CoupledSimulation<O> {
                 outcome,
                 now,
                 &mut self.observer,
-                |obs, job, decision| spans.open_wait(obs, t, m, job, decision),
+                |obs, job, decision| spans.open_wait(obs, t, (m, job, root), decision),
             );
             if let Some(end) = end {
                 self.queue.push(end, Event::JobEnd { m, job: id });
-                self.span_started(m, id);
+                self.started(m, id);
             }
         }
         self.drain_machine_trace(m);
@@ -675,13 +681,14 @@ impl<O: Observer> CoupledSimulation<O> {
         self.record(Phase::SchedulerIteration, iter_t0);
     }
 
-    /// Issue one protocol request to machine `m` — the simulator's
-    /// in-process "wire". `parent` is the caller-side span the RPC parents
-    /// under (the pair root; [`NO_SPAN`] when untraced or unpaired) — the
-    /// same context a live transport carries in its `TracedRequest` frames.
+    /// Issue one protocol request from machine `from` to machine `to` —
+    /// the simulator's in-process "wire". `parent` is the caller-side span
+    /// the RPC parents under (the relation root; [`NO_SPAN`] when untraced
+    /// or unrelated) — the same context a live transport carries in its
+    /// `TracedRequest` frames.
     fn remote_call(
         &mut self,
-        m: usize,
+        (from, to): (usize, usize),
         req: &Request,
         parent: u64,
     ) -> Result<Response, ProtoError> {
@@ -689,27 +696,20 @@ impl<O: Observer> CoupledSimulation<O> {
         let t = self.now.as_secs();
         let kind = req.trace_kind();
         self.stats.rpc_calls += 1;
-        // Caller-side RPC span: opened on the calling machine (1 - m).
         let subject = (req_job(req), NO_JOB);
-        let rpc_span = self.spans.open(
-            &mut self.observer,
-            t,
-            1 - m,
-            parent,
-            SpanKind::Rpc(kind),
-            subject,
-        );
-        let result = self.deliver(m, req, rpc_span);
+        let rpc_kind = SpanKind::Rpc(kind);
+        let rpc_span = (self.spans).open(&mut self.observer, t, from, parent, rpc_kind, subject);
+        let result = self.deliver(to, req, rpc_span);
         self.record(Phase::RpcCall, rpc_t0);
         if result.is_err() {
             self.stats.rpc_timeouts += 1;
             self.observer
-                .emit_with(t, m, || TraceEvent::RpcTimeout { kind });
+                .emit_with(t, to, || TraceEvent::RpcTimeout { kind });
         } else {
             self.observer
-                .emit_with(t, m, || TraceEvent::RpcCall { kind, ok: true });
+                .emit_with(t, to, || TraceEvent::RpcCall { kind, ok: true });
         }
-        SpanBook::close(&mut self.observer, t, 1 - m, rpc_span);
+        SpanBook::close(&mut self.observer, t, from, rpc_span);
         result
     }
 
@@ -744,7 +744,7 @@ impl<O: Observer> CoupledSimulation<O> {
                     self.queue.push(end, Event::JobEnd { m, job });
                     let anchored = matches!(req, Request::StartJob { .. });
                     self.peer_started.insert((m, job), anchored);
-                    self.span_started(m, job);
+                    self.started(m, job);
                 }
                 response
             }
@@ -753,33 +753,155 @@ impl<O: Observer> CoupledSimulation<O> {
         Ok(response)
     }
 
-    fn report(
-        mut self,
-        aborted: bool,
-        queue_high_water: usize,
-    ) -> (SimulationReport, O, Option<Timing>) {
-        let horizon = self.now;
-        let unfinished =
-            [0, 1].map(|m| self.jobs[m].len() - self.domains[m].machine().records().len());
+    /// Take every machine's records and summarize them over `machines`;
+    /// also counts each machine's jobs left unfinished.
+    pub(crate) fn take_records(
+        &mut self,
+        machines: &[MachineConfig],
+    ) -> (Vec<Vec<JobRecord>>, Vec<MachineSummary>, Vec<usize>) {
+        let (horizon, mut out) = (self.now, (Vec::new(), Vec::new(), Vec::new()));
+        for ((domain, jobs), machine) in self.domains.iter_mut().zip(&self.jobs).zip(machines) {
+            out.2.push(jobs.len() - domain.machine().records().len());
+            let records = domain.machine_mut().take_records();
+            out.1.push(MachineSummary::from_records(
+                machine.name.clone(),
+                &records,
+                machine.capacity,
+                horizon.max(SimTime::from_secs(1)),
+                domain.machine().held_node_seconds(horizon),
+            ));
+            out.0.push(records);
+        }
+        out
+    }
+
+    /// The observer, flushed.
+    pub(crate) fn into_observer(self) -> O {
+        let mut observer = self.observer;
+        observer.flush();
+        observer
+    }
+}
+
+/// The coupled simulator: two domains, one event loop, protocol-mediated
+/// coordination.
+///
+/// Generic over an [`Observer`] receiving the structured trace-event stream;
+/// the default [`NoopObserver`] is zero-sized and compiles every tracing
+/// path away. Observers are pure consumers: attaching one cannot change the
+/// simulation outcome.
+pub struct CoupledSimulation<O: Observer = NoopObserver> {
+    config: CoupledConfig,
+    engine: Engine<O>,
+}
+
+impl CoupledSimulation {
+    /// Build a simulation from a coupled configuration and the two traces.
+    ///
+    /// # Panics
+    /// Panics if a trace's machine id does not match its config slot or the
+    /// pairing between the traces is invalid.
+    pub fn new(config: CoupledConfig, traces: [Trace; 2]) -> Self {
+        Self::with_observer(config, traces, NoopObserver)
+    }
+}
+
+impl<O: Observer> CoupledSimulation<O> {
+    /// Build a simulation whose trace-event stream feeds `observer`.
+    ///
+    /// # Panics
+    /// Panics if a trace's machine id does not match its config slot or the
+    /// pairing between the traces is invalid.
+    pub fn with_observer(config: CoupledConfig, traces: [Trace; 2], observer: O) -> Self {
+        for (i, t) in traces.iter().enumerate() {
+            let (got, want) = (t.machine(), config.machines[i].machine);
+            assert_eq!(got, want, "trace {i} targets {got}, config expects {want}");
+        }
+        let mates = MateRegistry::from_traces(&traces[0], &traces[1]);
+        let engine = Engine::new(
+            (&config.machines, &config.cosched),
+            mates,
+            traces.into(),
+            None,
+            config.max_events,
+            observer,
+        );
+        CoupledSimulation { config, engine }
+    }
+
+    /// Fault injection: make protocol calls to machine `m` fail (simulates
+    /// the remote system being down).
+    pub fn set_reachable(&mut self, m: usize, up: bool) {
+        self.engine.reachable[m] = up;
+    }
+
+    /// Fault injection: make `GetMateStatus` calls to machine `m` time out.
+    /// Per Algorithm 1 lines 25–26 the caller treats the status as
+    /// `Unknown` and starts the ready job normally.
+    pub fn inject_status_timeout(&mut self, m: usize, on: bool) {
+        self.engine.status_timeout[m] = on;
+    }
+
+    /// Fault injection: make machine `m` report `Unknown` for `job`'s
+    /// status (simulates the mate job failing alone).
+    pub fn mark_status_unknown(&mut self, m: usize, job: JobId) {
+        self.engine.unknown_status.insert((m, job));
+    }
+
+    /// Direct access to a machine (tests and examples).
+    pub fn machine(&self, m: usize) -> &Machine {
+        self.engine.domains[m].machine()
+    }
+
+    /// Current simulation time.
+    pub fn now(&self) -> SimTime {
+        self.engine.now
+    }
+
+    /// Run to completion and build the report. Reads no clock: the
+    /// wall-clock profile is only built by [`CoupledSimulation::run_traced`].
+    pub fn run(self) -> SimulationReport {
+        self.execute().0
+    }
+
+    /// Run to completion, returning the report together with the observer
+    /// (to read back an attached sink) and the wall-clock profile. The
+    /// profile is filled whatever the observer, [`NoopObserver`] included.
+    pub fn run_traced(mut self) -> RunArtifacts<O> {
+        self.engine.timing = Some(Timing::default());
+        let (report, observer, timing) = self.execute();
+        let timing = timing.expect("timing was switched on above");
+        RunArtifacts {
+            report,
+            observer,
+            profile: timing.profiler.snapshot(),
+            rpc_latency_ns: timing.rpc_latency.snapshot("rpc.latency_ns"),
+        }
+    }
+
+    fn execute(self) -> (SimulationReport, O, Option<Timing>) {
+        let CoupledSimulation { config, mut engine } = self;
+        let (aborted, queue_high_water) = engine.execute();
+        let horizon = engine.now;
         // Pair start offsets, over pairs whose jobs both finished. A machine
         // answers a finished job's start from its record, so this runs
         // before the records are taken.
-        let mid = |machine| usize::from(machine == self.config.machines[1].machine);
+        let mid = |machine| usize::from(machine == config.machines[1].machine);
         let finished_start = |m: usize, job| {
-            let machine = self.domains[m].machine();
+            let machine = engine.domains[m].machine();
             let finished = machine.status(job) == JobStatus::Finished;
             finished.then(|| machine.start_of(job)).flatten()
         };
         let mut pair_offsets = Vec::new();
         let mut rendezvous = RendezvousCounts::default();
-        for ((ma, ja), mate) in self.domains[0].registry().pairs() {
+        for ((ma, ja), mate) in engine.domains[0].registry().pairs() {
             if let (Some(sa), Some(sb)) = (
                 finished_start(mid(ma), ja),
                 finished_start(mid(mate.machine), mate.job),
             ) {
                 pair_offsets.push(sa.abs_diff(sb));
                 let keys = [(mid(ma), ja), (mid(mate.machine), mate.job)];
-                match keys.iter().filter_map(|k| self.peer_started.get(k)).max() {
+                match keys.iter().filter_map(|k| engine.peer_started.get(k)).max() {
                     Some(true) => rendezvous.anchored += 1,
                     Some(false) => rendezvous.direct += 1,
                     None => rendezvous.independent += 1,
@@ -787,42 +909,29 @@ impl<O: Observer> CoupledSimulation<O> {
             }
         }
         pair_offsets.sort();
-        let records = self
-            .domains
-            .each_mut()
-            .map(|d| d.machine_mut().take_records());
-        let summaries = [0, 1].map(|m| {
-            MachineSummary::from_records(
-                self.config.machines[m].name.clone(),
-                &records[m],
-                self.config.machines[m].capacity,
-                horizon.max(SimTime::from_secs(1)),
-                self.domains[m].machine().held_node_seconds(horizon),
-            )
-        });
-        let deadlocked = !aborted && unfinished.iter().any(|&n| n > 0);
-        let sched_stats = self.domains.each_ref().map(|d| d.machine().stats());
+        let (records, summaries, unfinished) = engine.take_records(&config.machines);
+        let two = "a coupled run has two machines";
+        let unfinished: [usize; 2] = unfinished.try_into().expect(two);
         let mut report = SimulationReport {
-            records,
-            summaries,
+            records: records.try_into().expect(two),
+            summaries: summaries.try_into().expect(two),
             horizon,
-            deadlocked,
+            deadlocked: !aborted && unfinished.iter().any(|&n| n > 0),
             aborted,
             unfinished,
-            forced_releases: self.forced_releases,
+            forced_releases: engine.forced_releases,
             pair_offsets,
             rendezvous,
-            events: self.events,
+            events: engine.events,
             queue_high_water,
-            events_cancelled: self.queue.cancelled(),
-            stats: self.stats,
-            sched_stats,
+            events_cancelled: engine.queue.cancelled(),
+            stats: engine.stats,
+            sched_stats: [0, 1].map(|m| engine.domains[m].machine().stats()),
             metrics: MetricsSnapshot::default(),
         };
         report.metrics = build_metrics(&report);
-        let mut observer = self.observer;
-        observer.flush();
-        (report, observer, self.timing)
+        let timing = engine.timing.take();
+        (report, engine.into_observer(), timing)
     }
 }
 

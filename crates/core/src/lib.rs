@@ -19,16 +19,16 @@
 //!   simulator and the live daemon: the protocol handler, the decision
 //!   commit, the batch release policy (deadlock breaker), and submission;
 //! * [`driver`] — the coupled event-driven simulator (the Qsim extension of
-//!   §V-A): two domains in one deterministic event loop, coordination
-//!   routed through protocol messages, fault injection, causal spans,
-//!   deadlock detection, and a [`driver::SimulationReport`];
+//!   §V-A) and the crate's one event loop: k domains, coordination routed
+//!   through protocol messages, fault injection, causal spans, deadlock
+//!   detection; [`driver::CoupledSimulation`] is its k = 2 case with a
+//!   [`driver::SimulationReport`];
 //! * [`live`] — a domain behind a mutex that serves the protocol over a
 //!   real [`cosched_proto::Transport`], demonstrating deployment outside
 //!   the simulator;
-//! * [`nway`] — the §VI future work on the same domain core: one event loop
-//!   over k domains for co-start groups of k jobs, soft `StartWithin`
-//!   groups and ordered `StartAfter` edges, with one registry of relations
-//!   and one graded report.
+//! * [`nway`] — the §VI future work on the same loop: co-start groups of k
+//!   jobs, soft `StartWithin` groups and ordered `StartAfter` edges, with
+//!   one registry of relations and one graded report.
 
 pub mod algorithm;
 pub mod config;

@@ -1,15 +1,13 @@
-//! The k-way engine: N-way coscheduling and inter-job temporal constraints,
-//! the paper's §VI future work ("extending our algorithm to support N-way
-//! coscheduling on more than two scheduling domains", "more sophisticated
-//! inter-job temporal constraints"), on the domain core of the 2-way
-//! simulator.
+//! N-way coscheduling and inter-job temporal constraints, the paper's §VI
+//! future work ("extending our algorithm to support N-way coscheduling on
+//! more than two scheduling domains", "more sophisticated inter-job
+//! temporal constraints").
 //!
-//! [`NwaySimulation`] runs one `Domain` per machine in one event loop, as
-//! [`crate::driver`] does for two: submission, completion, the decision
-//! commit and the §IV-E1 batch release sweep are the domain's, the §IV-E2
-//! scheme shift is Algorithm 1's, and a ready job reads and starts its
-//! partners only through their domains' protocol handlers. One
-//! [`GroupRegistry`] holds every relation:
+//! [`NwaySimulation`] runs k domains on the event loop of [`crate::driver`],
+//! the one [`crate::CoupledSimulation`] runs two on. Only the decision for a
+//! ready job differs: a ready job reads and starts its partners through
+//! their domains' protocol handlers, over one [`GroupRegistry`] that holds
+//! every relation:
 //!
 //! * [`Constraint::CoStart`] groups of k ≥ 2 jobs on k machines start at one
 //!   instant. A ready member asks each partner's domain for its status
@@ -25,21 +23,23 @@
 //!   every partner that is held or startable and never waits.
 //! * [`Constraint::StartAfter`] edges order two jobs on any two machines:
 //!   the successor is not submitted before its predecessor's start plus
-//!   `min_delay`.
+//!   `min_delay` (the engine's gate at arrival and at start).
 //!
-//! Check-then-commit is sound because a relation has at most one member per
-//! machine, so committing one member cannot invalidate another's admission.
+//! Jobs in no relation start without a protocol call. Check-then-commit is
+//! sound because a relation has at most one member per machine, so
+//! committing one member cannot invalidate another's admission.
 
 use crate::algorithm::Decision;
 use crate::config::CoschedConfig;
-use crate::domain::{Domain, Outcome, Ready, Sweep};
+use crate::domain::{Outcome, Ready};
+use crate::driver::{Engine, Root};
 use crate::registry::MateRegistry;
 use cosched_metrics::{JobRecord, MachineSummary};
 use cosched_obs::{NoopObserver, Observer};
-use cosched_proto::{MateStatus, Request, Response};
-use cosched_sched::{Machine, MachineConfig};
-use cosched_sim::{EventQueue, IdHashMap, IdHashSet, SimDuration, SimTime};
-use cosched_workload::{Job, JobId, MachineId, MateRef, Trace};
+use cosched_proto::{MateStatus, ProtoError, Request, Response};
+use cosched_sched::MachineConfig;
+use cosched_sim::{IdHashMap, IdHashSet, SimDuration, SimTime};
+use cosched_workload::{JobId, MachineId, MateRef, Trace};
 use std::fmt;
 use std::sync::Arc;
 
@@ -92,6 +92,9 @@ pub enum GroupError {
     TraceOrder(usize),
     /// A relation member is not in its machine's trace.
     MissingMember(MachineId, JobId),
+    /// A relation member is larger than its machine's capacity, so its
+    /// relation could never start.
+    Oversize(MachineId, JobId),
 }
 
 impl fmt::Display for GroupError {
@@ -104,6 +107,7 @@ impl fmt::Display for GroupError {
             Self::Arity(n) => write!(f, "{n} machines need as many cosched configs and traces"),
             Self::TraceOrder(slot) => write!(f, "trace {slot} is not for machine {slot}'s config"),
             Self::MissingMember(m, j) => write!(f, "member {m}/{j} is missing from its trace"),
+            Self::Oversize(m, j) => write!(f, "member {m}/{j} is larger than its machine"),
         }
     }
 }
@@ -118,7 +122,7 @@ pub struct GroupRegistry {
     /// the successor of.
     driving: IdHashMap<Member, GroupId>,
     /// `StartAfter` successors and their `min_delay`, by predecessor.
-    after: IdHashMap<Member, Vec<(Member, SimDuration)>>,
+    pub(crate) after: IdHashMap<Member, Vec<(Member, SimDuration)>>,
 }
 
 impl GroupRegistry {
@@ -203,7 +207,7 @@ impl GroupRegistry {
     }
 
     /// The relation deciding `member`'s start.
-    fn driving(&self, member: Member) -> Option<&(Constraint, Vec<Member>)> {
+    pub(crate) fn driving(&self, member: Member) -> Option<&(Constraint, Vec<Member>)> {
         self.get(*self.driving.get(&member)?)
     }
 
@@ -280,38 +284,90 @@ impl NwayReport {
     }
 }
 
-/// Events of the k-way simulation.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// Trace job `idx` arrives at machine `m` (again, when a gated
-    /// successor's gate opens).
-    Arrival { m: usize, idx: usize },
-    /// A running job completes.
-    JobEnd { m: usize, job: JobId },
-    /// Machine `m`'s armed release sweep falls due.
-    ReleaseSweep { m: usize },
+/// The k-way relations as the engine consults them: the registry, and each
+/// domain's machine id and its inverse.
+pub(crate) struct Groups {
+    pub(crate) registry: GroupRegistry,
+    /// Domain index → machine id.
+    pub(crate) machines: Vec<MachineId>,
+    /// Machine id → domain index.
+    index: IdHashMap<MachineId, usize>,
+}
+
+impl Groups {
+    /// The root span of `job` on domain `m`: its group's, keyed by the first
+    /// member. Ungrouped jobs and edge successors have none.
+    pub(crate) fn root(&self, m: usize, job: JobId) -> Option<Root> {
+        let id = self.registry.group_of(self.machines[m], job)?;
+        let members = (!self.registry.is_edge(id)).then(|| self.registry.members(id))?;
+        let ((first, a), (_, b)) = (members[0], members[1]);
+        Some(((self.index[&first], a.0), (a.0, b.0), members.len()))
+    }
+
+    /// Decide the fate of `ready`, a job on domain `m`, calling its group
+    /// partners' domains through `call` and starting them on a committed
+    /// rendezvous. A job without a group, or behind an edge whose gate
+    /// already held it back, starts without a call.
+    pub(crate) fn decide<C>(&self, m: usize, ready: &Ready, mut call: C) -> Outcome
+    where
+        C: FnMut(usize, &Request) -> Result<Response, ProtoError>,
+    {
+        let me = (self.machines[m], ready.job.id);
+        let relation = (self.registry.driving(me)).filter(|_| ready.cfg.enabled);
+        let (hard, others): (bool, Vec<(usize, JobId)>) = match relation {
+            None | Some((Constraint::StartAfter { .. }, _)) => (false, Vec::new()),
+            Some((c, members)) => (
+                *c == Constraint::CoStart,
+                (members.iter().filter(|&&x| x != me))
+                    .map(|&(machine, job)| (self.index[&machine], job))
+                    .collect(),
+            ),
+        };
+        let mut commits = Vec::new();
+        for (om, job) in others {
+            let status = call(om, &Request::GetMateStatus { job });
+            let req = match status.map_or(MateStatus::Unknown, |r| r.status()) {
+                MateStatus::Holding => Request::StartJob { job },
+                MateStatus::Queuing
+                    if matches!(
+                        call(om, &Request::CanStart { job }),
+                        Ok(Response::CanStart(true))
+                    ) =>
+                {
+                    Request::TryStartMate { job }
+                }
+                MateStatus::Queuing | MateStatus::Unsubmitted if hard => return ready.wait(),
+                // Running or finished: the rendezvous is missed; start alone.
+                _ if hard => {
+                    commits.clear();
+                    break;
+                }
+                _ => continue,
+            };
+            commits.push((om, job, req));
+        }
+        let (mut mate_started, mut anchored) = (None, false);
+        for (om, job, req) in commits {
+            if call(om, &req).is_ok_and(|r| r.started()) {
+                mate_started = mate_started.or(Some(job));
+                anchored |= matches!(req, Request::StartJob { .. });
+            }
+        }
+        Outcome {
+            decision: Decision::Start { mate_started },
+            anchored,
+            shift: None,
+        }
+    }
 }
 
 /// The k-machine coupled simulator, generic over an [`Observer`] of the
-/// domains' trace events like [`crate::CoupledSimulation`].
+/// trace-event stream like [`crate::CoupledSimulation`], on the same event
+/// loop.
 pub struct NwaySimulation<O: Observer = NoopObserver> {
     config: NwayConfig,
-    domains: Vec<Domain>,
-    jobs: Vec<Vec<Job>>,
-    registry: GroupRegistry,
-    /// Machine id → domain index.
-    index: IdHashMap<MachineId, usize>,
-    queue: EventQueue<Event>,
-    now: SimTime,
-    events: u64,
-    forced_releases: u64,
-    /// When each `StartAfter` successor may be submitted, known once its
-    /// predecessor started.
-    opens: IdHashMap<Member, SimTime>,
-    /// Successors that arrived before their predecessor started: (domain,
-    /// trace position).
-    parked: IdHashMap<Member, (usize, usize)>,
-    observer: O,
+    groups: Arc<Groups>,
+    engine: Engine<O>,
 }
 
 impl NwaySimulation {
@@ -327,7 +383,7 @@ impl NwaySimulation {
 }
 
 impl<O: Observer> NwaySimulation<O> {
-    /// [`NwaySimulation::new`] with the domains' trace events fed to
+    /// [`NwaySimulation::new`] with the trace-event stream fed to
     /// `observer`. The registry is the only source of mates: each group
     /// member is mated to the next one in its ring, so records and events
     /// flag it paired, and every other job is unpaired.
@@ -346,55 +402,44 @@ impl<O: Observer> NwaySimulation<O> {
             return Err(GroupError::TraceOrder(slot));
         }
         let mut mates = MateRegistry::new();
-        let mut present = IdHashSet::default();
-        for t in &mut traces {
-            let machine = t.machine();
+        // Every job, and whether it is larger than its machine.
+        let mut oversize = IdHashMap::default();
+        for (t, machine) in traces.iter_mut().zip(&config.machines) {
             for job in t.jobs_mut() {
-                let mate = registry.ring_mate((machine, job.id));
+                let me = (machine.machine, job.id);
+                let mate = registry.ring_mate(me);
                 if let Some(mate) = mate {
-                    mates.link((machine, job.id), mate);
+                    mates.link(me, mate);
                 }
                 job.mate = mate.map(|(machine, job)| MateRef { machine, job });
-                present.insert((machine, job.id));
+                oversize.insert(me, job.size > machine.capacity);
             }
         }
-        let mut members = registry.relations.iter().flat_map(|(_, m)| m);
-        if let Some(&(m, j)) = members.find(|x| !present.contains(x)) {
-            return Err(GroupError::MissingMember(m, j));
-        }
-        let mates = Arc::new(mates);
-        let jobs: Vec<Vec<Job>> = traces.into_iter().map(Trace::into_jobs).collect();
-        let mut queue = EventQueue::new();
-        for (m, jobs) in jobs.iter().enumerate() {
-            for (idx, job) in jobs.iter().enumerate() {
-                queue.push(job.submit, Event::Arrival { m, idx });
+        for &(m, j) in registry.relations.iter().flat_map(|(_, m)| m) {
+            match oversize.get(&(m, j)) {
+                None => return Err(GroupError::MissingMember(m, j)),
+                Some(true) => return Err(GroupError::Oversize(m, j)),
+                Some(false) => {}
             }
         }
-        let domains = (0..k)
-            .map(|m| {
-                let mut machine = Machine::new(config.machines[m].clone());
-                machine.reserve(jobs[m].len());
-                // Partners come from the group registry, never from
-                // `GetMateJob`, so the peer is only nominal.
-                let peer = config.machines[(m + 1) % k].machine;
-                Domain::new(machine, config.cosched[m].clone(), mates.clone(), peer, m)
-            })
-            .collect();
-        Ok(NwaySimulation {
-            index: (config.machines.iter().enumerate())
-                .map(|(i, c)| (c.machine, i))
-                .collect(),
-            config,
-            domains,
-            jobs,
+        let machines: Vec<MachineId> = config.machines.iter().map(|c| c.machine).collect();
+        let groups = Arc::new(Groups {
+            index: machines.iter().enumerate().map(|(i, &m)| (m, i)).collect(),
+            machines,
             registry,
-            queue,
-            now: SimTime::ZERO,
-            events: 0,
-            forced_releases: 0,
-            opens: IdHashMap::default(),
-            parked: IdHashMap::default(),
+        });
+        let engine = Engine::new(
+            (&config.machines, &config.cosched),
+            mates,
+            traces,
+            Some(Arc::clone(&groups)),
+            config.max_events,
             observer,
+        );
+        Ok(NwaySimulation {
+            config,
+            groups,
+            engine,
         })
     }
 
@@ -405,172 +450,13 @@ impl<O: Observer> NwaySimulation<O> {
 
     /// Run to completion; also return the observer (to read back a sink).
     pub fn run_observed(mut self) -> (NwayReport, O) {
-        let mut aborted = false;
-        while let Some(ev) = self.queue.pop() {
-            if self.events >= self.config.max_events {
-                aborted = true;
-                break;
-            }
-            let now = ev.time;
-            self.now = now;
-            self.events += 1;
-            match ev.event {
-                Event::Arrival { m, idx } => self.arrive(m, idx),
-                Event::JobEnd { m, job } => {
-                    self.domains[m].finish(job, now, &mut self.observer);
-                    self.iterate(m);
-                }
-                Event::ReleaseSweep { m } => match self.domains[m].sweep(now) {
-                    Sweep::Idle => {}
-                    Sweep::Rearmed(at) => {
-                        self.queue.push(at, Event::ReleaseSweep { m });
-                    }
-                    Sweep::Release => {
-                        let domain = &mut self.domains[m];
-                        let released = domain.release_holds(now, &mut self.observer, |_, _| {});
-                        self.forced_releases += released as u64;
-                        self.iterate(m);
-                    }
-                },
-            }
-        }
-        self.report(aborted)
-    }
-
-    /// Trace job `idx` arrives at machine `m`. A `StartAfter` successor
-    /// waits until its predecessor's start plus `min_delay`.
-    fn arrive(&mut self, m: usize, idx: usize) {
-        let job = self.jobs[m][idx].clone();
-        let me = (self.config.machines[m].machine, job.id);
-        if let Some((Constraint::StartAfter { .. }, _)) = self.registry.driving(me) {
-            match self.opens.get(&me) {
-                Some(&at) if at > self.now => {
-                    self.queue.push(at, Event::Arrival { m, idx });
-                    return;
-                }
-                Some(_) => {}
-                None => {
-                    self.parked.insert(me, (m, idx));
-                    return;
-                }
-            }
-        }
-        self.domains[m]
-            .submit(job, self.now, &mut self.observer)
-            .expect("trace jobs are unique and addressed to their machine");
-        self.iterate(m);
-    }
-
-    /// One scheduling iteration on machine `m`.
-    fn iterate(&mut self, m: usize) {
-        let now = self.now;
-        self.domains[m].machine_mut().begin_iteration();
-        while let Some(ready) = self.domains[m].pick(now) {
-            let outcome = self.decide(m, &ready);
-            let id = ready.job.id;
-            let obs = &mut self.observer;
-            if let Some(end) = self.domains[m].commit(ready, outcome, now, obs, |_, _, _| {}) {
-                self.queue.push(end, Event::JobEnd { m, job: id });
-                self.started(m, id);
-            }
-        }
-        if let Some(at) = self.domains[m].arm_sweep(now) {
-            self.queue.push(at, Event::ReleaseSweep { m });
-        }
-    }
-
-    /// Decide a ready job's fate, starting its group partners on a
-    /// committed rendezvous.
-    fn decide(&mut self, m: usize, ready: &Ready) -> Outcome {
-        let me = (self.config.machines[m].machine, ready.job.id);
-        let relation = (self.registry.driving(me)).filter(|_| self.config.cosched[m].enabled);
-        let (hard, others): (bool, Vec<(usize, JobId)>) = match relation {
-            // A successor's gate already held it back: it just starts.
-            None | Some((Constraint::StartAfter { .. }, _)) => (false, Vec::new()),
-            Some((c, members)) => (
-                *c == Constraint::CoStart,
-                (members.iter().filter(|&&x| x != me))
-                    .map(|&(machine, job)| (self.index[&machine], job))
-                    .collect(),
-            ),
-        };
-        let mut commits = Vec::new();
-        for (om, job) in others {
-            let req = match self.call(om, &Request::GetMateStatus { job }).status() {
-                MateStatus::Holding => Request::StartJob { job },
-                MateStatus::Queuing
-                    if self.call(om, &Request::CanStart { job }) == Response::CanStart(true) =>
-                {
-                    Request::TryStartMate { job }
-                }
-                MateStatus::Queuing | MateStatus::Unsubmitted if hard => return ready.wait(),
-                // Running or finished: the rendezvous is missed; start alone.
-                _ if hard => {
-                    commits.clear();
-                    break;
-                }
-                _ => continue,
-            };
-            commits.push((om, job, req));
-        }
-        let (mut mate_started, mut anchored) = (None, false);
-        for (om, job, req) in commits {
-            if self.call(om, &req).started() {
-                mate_started = mate_started.or(Some(job));
-                anchored |= matches!(req, Request::StartJob { .. });
-            }
-        }
-        Outcome {
-            decision: Decision::Start { mate_started },
-            anchored,
-            shift: None,
-        }
-    }
-
-    /// Deliver `req` to machine `m`'s protocol handler and schedule the end
-    /// of any job it started.
-    fn call(&mut self, m: usize, req: &Request) -> Response {
-        let (response, started) = self.domains[m].handle(req, self.now, &mut self.observer);
-        if let Some((job, end)) = started {
-            self.queue.push(end, Event::JobEnd { m, job });
-            self.started(m, job);
-        }
-        response
-    }
-
-    /// `job` started on machine `m`: open its successors' gates.
-    fn started(&mut self, m: usize, job: JobId) {
-        let me = (self.config.machines[m].machine, job);
-        for &(successor, min_delay) in self.registry.after.get(&me).into_iter().flatten() {
-            let at = self.now + min_delay;
-            self.opens.insert(successor, at);
-            if let Some((sm, idx)) = self.parked.remove(&successor) {
-                self.queue.push(at, Event::Arrival { m: sm, idx });
-            }
-        }
-    }
-
-    fn report(mut self, aborted: bool) -> (NwayReport, O) {
-        let horizon = self.now;
-        let (mut records, mut summaries, mut unfinished) = (Vec::new(), Vec::new(), 0);
-        for (m, domain) in self.domains.iter_mut().enumerate() {
-            unfinished += self.jobs[m].len() - domain.machine().records().len();
-            let recs = domain.machine_mut().take_records();
-            let machine = &self.config.machines[m];
-            summaries.push(MachineSummary::from_records(
-                machine.name.clone(),
-                &recs,
-                machine.capacity,
-                horizon.max(SimTime::from_secs(1)),
-                domain.machine().held_node_seconds(horizon),
-            ));
-            records.push(recs);
-        }
+        let (aborted, _) = self.engine.execute();
+        let (records, summaries, unfinished) = self.engine.take_records(&self.config.machines);
         let starts: IdHashMap<Member, SimTime> = (records.iter().flatten())
             .map(|r| ((r.machine, r.id), r.start))
             .collect();
         let mut grades = Vec::new();
-        for (i, &(constraint, ref members)) in self.registry.relations.iter().enumerate() {
+        for (i, &(constraint, ref members)) in self.groups.registry.relations.iter().enumerate() {
             let finished = members.iter().map(|m| starts.get(m).copied());
             let Some(starts) = finished.collect::<Option<Vec<_>>>() else {
                 continue;
@@ -592,18 +478,17 @@ impl<O: Observer> NwaySimulation<O> {
                 satisfied,
             });
         }
-        self.observer.flush();
         let report = NwayReport {
             records,
             summaries,
             grades,
-            deadlocked: !aborted && unfinished > 0,
+            deadlocked: !aborted && unfinished.iter().any(|&n| n > 0),
             aborted,
-            forced_releases: self.forced_releases,
-            events: self.events,
-            horizon,
+            forced_releases: self.engine.forced_releases,
+            events: self.engine.events,
+            horizon: self.engine.now,
         };
-        (report, self.observer)
+        (report, self.engine.into_observer())
     }
 }
 
@@ -611,7 +496,7 @@ impl<O: Observer> NwaySimulation<O> {
 mod tests {
     use super::*;
     use crate::config::Scheme;
-    use cosched_workload::Trace;
+    use cosched_workload::{Job, Trace};
 
     fn job(machine: usize, id: u64, submit: u64, size: u64, runtime: u64) -> Job {
         Job::new(
@@ -865,6 +750,68 @@ mod tests {
             err(config(2, Scheme::Hold), traces(), reg),
             Some(GroupError::MissingMember(MachineId(1), JobId(2)))
         );
+        // A 200-node member on a 100-node machine: its group could never
+        // start, whatever its partner on the free machine does.
+        let mut pair = GroupRegistry::new();
+        pair.insert(Constraint::CoStart, members(&[(0, 1), (1, 1)]))
+            .unwrap();
+        let mut oversize = traces();
+        oversize[0] = Trace::from_jobs(MachineId(0), vec![job(0, 1, 0, 200, 100)]);
+        assert_eq!(
+            err(config(2, Scheme::Yield), oversize, pair),
+            Some(GroupError::Oversize(MachineId(0), JobId(1)))
+        );
+    }
+
+    /// At one instant, arrivals dispatch in machine order, ahead of a
+    /// completion at that instant, and a trace pushed out of submit order
+    /// replays exactly like its sorted copy. Mirrors the coupled driver's
+    /// `same_instant_arrivals_precede_completions_machine_zero_first`.
+    #[test]
+    fn same_instant_arrivals_precede_completions_in_machine_order() {
+        use cosched_obs::{SinkObserver, TraceEvent, VecSink};
+        // Job 0 on machine 0 runs [0, 100); job 1 on every machine arrives
+        // at t = 100, a 3-way group that can start only once job 0 ends.
+        let mut reg = GroupRegistry::new();
+        reg.insert(Constraint::CoStart, members(&[(0, 1), (1, 1), (2, 1)]))
+            .unwrap();
+        let run = |traces| {
+            let sink = SinkObserver::new(VecSink::default());
+            let sim =
+                NwaySimulation::with_observer(config(3, Scheme::Yield), traces, reg.clone(), sink);
+            sim.expect("valid run").run_observed()
+        };
+        let sorted = vec![
+            Trace::from_jobs(
+                MachineId(0),
+                vec![job(0, 0, 0, 60, 100), job(0, 1, 100, 60, 50)],
+            ),
+            Trace::from_jobs(MachineId(1), vec![job(1, 1, 100, 10, 50)]),
+            Trace::from_jobs(MachineId(2), vec![job(2, 1, 100, 10, 50)]),
+        ];
+        let (report, sink) = run(sorted.clone());
+        let at_100: Vec<(usize, u64, bool)> = (sink.sink().records.iter())
+            .filter(|r| r.time == 100)
+            .filter_map(|r| match r.event {
+                TraceEvent::JobSubmitted { job, .. } => Some((r.machine, job, true)),
+                TraceEvent::JobEnded { job } => Some((r.machine, job, false)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            at_100,
+            [(0, 1, true), (1, 1, true), (2, 1, true), (0, 0, false)]
+        );
+        assert!(report.all_satisfied(), "grades {:?}", report.grades);
+        assert_eq!(report.records[0][1].start, SimTime::from_secs(100));
+
+        let mut pushed = Trace::new(MachineId(0));
+        pushed.push(job(0, 1, 100, 60, 50));
+        pushed.push(job(0, 0, 0, 60, 100));
+        let mut unsorted = sorted;
+        unsorted[0] = pushed;
+        let (replayed, _) = run(unsorted);
+        assert_eq!(format!("{replayed:?}"), format!("{report:?}"));
     }
 
     fn pair_traces(b_jobs: Vec<Job>, a_runtime: u64) -> Vec<Trace> {
