@@ -11,7 +11,7 @@ use cosched_obs::metrics::HistogramSnapshot;
 use cosched_obs::monitor::{StreamingMonitor, TelemetrySnapshot};
 use cosched_obs::{
     default_rules, read_trace_file, AlertRule, JsonlSink, MetricsSnapshot, PhaseSnapshot,
-    SinkObserver, TeeObserver,
+    SinkObserver, TeeObserver, TraceReader,
 };
 use cosched_sched::MachineConfig;
 use cosched_sim::{SimDuration, SimRng};
@@ -149,13 +149,18 @@ fn cmd_analyze(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     }
 }
 
-/// Parse a JSONL event trace and reconstruct per-job lifecycles. Parse
-/// failures carry `path:line`; reconstruction failures carry the record
-/// index and sim time.
+/// Replay a JSONL event trace through the lifecycle fold, one record as it
+/// is parsed. Parse failures carry `path:line`; reconstruction failures
+/// carry the record index and sim time.
 fn load_lifecycles(path: &str) -> Result<cosched_trace::LifecycleSet, String> {
-    let records = read_trace_file(path)?;
-    cosched_trace::LifecycleSet::from_records(&records)
-        .map_err(|e| format!("{path}: inconsistent trace: {e}"))
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let mut set = cosched_trace::LifecycleSet::default();
+    for record in TraceReader::new(std::io::BufReader::new(file)) {
+        let record = record.map_err(|e| format!("{path}:{e}"))?;
+        set.apply_in_order(&record)
+            .map_err(|e| format!("{path}: inconsistent trace: {e}"))?;
+    }
+    Ok(set)
 }
 
 fn cmd_analyze_timeline(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {

@@ -20,12 +20,19 @@
 //!   scheduler iterations, release sweeps, and RPCs. Wall-clock data is
 //!   *never* mixed into traces or report metrics; it lives in its own
 //!   snapshot so determinism guarantees hold.
+//! * **The job state machine** ([`lifecycle`]) — [`LifecycleSet::apply`]
+//!   folds one record at a time into per-job timelines (submit → queued ⇄
+//!   held → running → finished) and rejects records that contradict it.
+//!   It is the only one: the [`StreamingMonitor`] derives its live
+//!   aggregates from it, and `cosched-trace` re-exports it for offline
+//!   analysis.
 //!
 //! The crate has no dependency on the rest of the workspace (events carry
 //! plain `u64` sim-seconds), so every layer can depend on it without
 //! cycles.
 
 pub mod alert;
+pub mod lifecycle;
 pub mod metrics;
 pub mod monitor;
 pub mod observe;
@@ -34,6 +41,7 @@ pub mod reader;
 pub mod trace;
 
 pub use alert::{default_rules, ActiveAlert, AlertEngine, AlertOp, AlertRule};
+pub use lifecycle::{JobLifecycle, LifecycleError, LifecycleSet, Rendezvous};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{MachineTelemetry, StreamingMonitor, TelemetrySnapshot};
 pub use observe::{

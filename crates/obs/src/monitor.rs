@@ -17,6 +17,7 @@
 //! observed stream.
 
 use crate::alert::{ActiveAlert, AlertEngine, AlertRule};
+use crate::lifecycle::{lifecycle_job, JobLifecycle, LifecycleSet, State};
 use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::observe::Observer;
 use crate::trace::{SpanKind, TraceEvent, TraceRecord, GLOBAL};
@@ -26,13 +27,6 @@ use std::sync::{Arc, Mutex};
 
 /// Default sim-time alert evaluation cadence (seconds).
 pub const DEFAULT_TICK_SECS: u64 = 60;
-
-/// Per-job bookkeeping between submit and end.
-#[derive(Debug, Clone, Copy)]
-struct JobInfo {
-    submit: u64,
-    size: u64,
-}
 
 /// Live state for one machine.
 #[derive(Debug, Default)]
@@ -47,18 +41,22 @@ struct MachineState {
     /// Queued jobs ordered by (submit, job); demoted holds re-enter with
     /// their original submit time so queue age survives demotion.
     queued: BTreeSet<(u64, u64)>,
-    /// Held jobs → reserved nodes.
-    held: HashMap<u64, u64>,
-    /// Running jobs → size.
-    running: HashMap<u64, u64>,
-    /// Submit/size per in-flight job (dropped at end).
-    jobs: HashMap<u64, JobInfo>,
+    running: usize,
+    held: usize,
     queue_age_high_water: u64,
     used_node_seconds: u64,
     held_node_seconds: u64,
     submitted: u64,
     started: u64,
     finished: u64,
+}
+
+/// Machine `index`'s state, growing the table to reach it.
+fn machine_state(machines: &mut Vec<MachineState>, index: usize) -> &mut MachineState {
+    if index >= machines.len() {
+        machines.resize_with(index + 1, MachineState::default);
+    }
+    &mut machines[index]
 }
 
 impl MachineState {
@@ -68,15 +66,50 @@ impl MachineState {
             .map_or(0, |&(submit, _)| now.saturating_sub(submit))
     }
 
+    /// Move `lc` out of the aggregates of state `from` (`None`: not yet
+    /// submitted) and into those of state `to`.
+    fn transition(&mut self, lc: &JobLifecycle, from: Option<State>, to: State) {
+        match from {
+            None => self.submitted += 1,
+            Some(State::Queued) => {
+                self.queued.remove(&(lc.submit, lc.job));
+            }
+            Some(State::Held) => {
+                self.held -= 1;
+                self.held_nodes -= lc.hold_nodes;
+            }
+            Some(State::Running) => {
+                self.running -= 1;
+                self.used_nodes -= lc.size;
+            }
+            Some(State::Finished) => {}
+        }
+        match to {
+            State::Queued => {
+                self.queued.insert((lc.submit, lc.job));
+            }
+            State::Held => {
+                self.held += 1;
+                self.held_nodes += lc.hold_nodes;
+            }
+            State::Running => {
+                self.running += 1;
+                self.used_nodes += lc.size;
+                self.started += 1;
+            }
+            State::Finished => self.finished += 1,
+        }
+    }
+
     fn telemetry(&self, index: usize, now: u64) -> MachineTelemetry {
         MachineTelemetry {
             index,
             capacity: self.capacity,
             used_nodes: self.used_nodes,
             held_nodes: self.held_nodes,
-            running: self.running.len(),
+            running: self.running,
             queued: self.queued.len(),
-            held: self.held.len(),
+            held: self.held,
             queue_age_secs: self.queue_age(now),
             queue_age_high_water: self.queue_age_high_water,
             used_node_seconds: self.used_node_seconds,
@@ -89,14 +122,15 @@ impl MachineState {
 }
 
 /// The monitor's internals, shared between clones.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MonitorState {
     machines: Vec<MachineState>,
+    /// Lifecycles of the jobs not yet ended: the job state machine the
+    /// per-machine aggregates follow.
+    live: LifecycleSet,
+    rejected_records: u64,
     last_time: u64,
     events: u64,
-    submitted: u64,
-    started: u64,
-    finished: u64,
     rpc_calls: u64,
     rpc_timeouts: u64,
     deadlock_sweeps: u64,
@@ -121,35 +155,10 @@ struct MonitorState {
 impl MonitorState {
     fn new(rules: Vec<AlertRule>) -> Self {
         MonitorState {
-            machines: Vec::new(),
-            last_time: 0,
-            events: 0,
-            submitted: 0,
-            started: 0,
-            finished: 0,
-            rpc_calls: 0,
-            rpc_timeouts: 0,
-            deadlock_sweeps: 0,
-            forced_releases: 0,
-            yields: 0,
-            holds_placed: 0,
-            rendezvous_commits: 0,
-            rendezvous_open: HashMap::new(),
-            rendezvous: Histogram::new(),
             engine: AlertEngine::new(rules),
             tick_secs: DEFAULT_TICK_SECS,
-            last_eval: 0,
-            alert_history: Vec::new(),
-            done: false,
-            deadlocked: false,
+            ..Default::default()
         }
-    }
-
-    fn machine(&mut self, index: usize) -> &mut MachineState {
-        if index >= self.machines.len() {
-            self.machines.resize_with(index + 1, MachineState::default);
-        }
-        &mut self.machines[index]
     }
 
     /// Integrate node-time, roll queue-age high-water forward, and run any
@@ -187,76 +196,21 @@ impl MonitorState {
     }
 
     fn apply(&mut self, record: &TraceRecord) {
+        let key = lifecycle_job(&record.event).map(|(job, _)| (record.machine, job));
+        let before = key.and_then(|key| self.live.jobs.get(&key).map(JobLifecycle::state));
+        if self.live.apply(record).is_err() {
+            self.rejected_records += 1;
+            return;
+        }
+        // Integrate up to this record under the state before it.
         self.advance_to(record.time);
         self.events += 1;
-        let time = record.time;
-        let at = record.machine;
         match &record.event {
-            TraceEvent::JobSubmitted { job, size, .. } => {
-                self.submitted += 1;
-                let m = self.machine(at);
-                m.submitted += 1;
-                m.jobs.insert(
-                    *job,
-                    JobInfo {
-                        submit: time,
-                        size: *size,
-                    },
-                );
-                m.queued.insert((time, *job));
-            }
-            TraceEvent::CoschedHoldPlaced { job, nodes } => {
-                self.holds_placed += 1;
-                let m = self.machine(at);
-                if let Some(info) = m.jobs.get(job).copied() {
-                    m.queued.remove(&(info.submit, *job));
-                }
-                m.held.insert(*job, *nodes);
-                m.held_nodes += *nodes;
-            }
+            TraceEvent::CoschedHoldPlaced { .. } => self.holds_placed += 1,
             TraceEvent::CoschedYield { .. } => self.yields += 1,
             TraceEvent::CoschedRendezvousCommit { .. } => self.rendezvous_commits += 1,
+            TraceEvent::CoschedDeadlockDemotion { .. } => self.forced_releases += 1,
             TraceEvent::CoschedReleaseSweep { .. } => self.deadlock_sweeps += 1,
-            TraceEvent::CoschedDeadlockDemotion { job } => {
-                self.forced_releases += 1;
-                let m = self.machine(at);
-                if let Some(nodes) = m.held.remove(job) {
-                    m.held_nodes -= nodes;
-                    // Demotion returns the job to the queue; it keeps its
-                    // original submit time for age accounting.
-                    if let Some(info) = m.jobs.get(job).copied() {
-                        m.queued.insert((info.submit, *job));
-                    }
-                }
-            }
-            TraceEvent::CoschedStart { job, .. } => {
-                let m = self.machine(at);
-                if m.running.contains_key(job) {
-                    return; // idempotent under duplicate start reports
-                }
-                if let Some(nodes) = m.held.remove(job) {
-                    m.held_nodes -= nodes;
-                } else if let Some(info) = m.jobs.get(job).copied() {
-                    m.queued.remove(&(info.submit, *job));
-                }
-                let size = m.jobs.get(job).map_or(0, |i| i.size);
-                m.used_nodes += size;
-                m.running.insert(*job, size);
-                m.started += 1;
-                self.started += 1;
-            }
-            TraceEvent::JobEnded { job } => {
-                let m = self.machine(at);
-                let ended = m.running.remove(job);
-                if let Some(size) = ended {
-                    m.used_nodes -= size;
-                    m.finished += 1;
-                }
-                m.jobs.remove(job);
-                if ended.is_some() {
-                    self.finished += 1;
-                }
-            }
             TraceEvent::RpcCall { .. } => self.rpc_calls += 1,
             TraceEvent::RpcTimeout { .. } => {
                 // Timeouts count as calls too, matching the driver's
@@ -265,20 +219,30 @@ impl MonitorState {
                 self.rpc_timeouts += 1;
             }
             TraceEvent::SchedIterationStart { free_nodes, .. } => {
-                let m = self.machine(at);
+                let m = machine_state(&mut self.machines, record.machine);
                 if !m.capacity_explicit {
                     m.capacity = m.capacity.max(free_nodes + m.used_nodes + m.held_nodes);
                 }
             }
             TraceEvent::SpanOpen { span, kind, .. } if *kind == SpanKind::PairRendezvous => {
-                self.rendezvous_open.insert(*span, time);
+                self.rendezvous_open.insert(*span, record.time);
             }
             TraceEvent::SpanClose { span } => {
                 if let Some(open) = self.rendezvous_open.remove(span) {
-                    self.rendezvous.record(time.saturating_sub(open));
+                    self.rendezvous.record(record.time.saturating_sub(open));
                 }
             }
             _ => {}
+        }
+        let Some(key) = key else { return };
+        let lc = &self.live.jobs[&key];
+        let after = lc.state();
+        if before != Some(after) {
+            machine_state(&mut self.machines, key.0).transition(lc, before, after);
+        }
+        if after == State::Finished {
+            // Ended jobs leave the fold: memory follows the live jobs.
+            self.live.jobs.remove(&key);
         }
     }
 
@@ -292,9 +256,10 @@ impl MonitorState {
         TelemetrySnapshot {
             sim_time: now,
             events: self.events,
-            submitted: self.submitted,
-            started: self.started,
-            finished: self.finished,
+            rejected_records: self.rejected_records,
+            submitted: machines.iter().map(|m| m.submitted).sum(),
+            started: machines.iter().map(|m| m.started).sum(),
+            finished: machines.iter().map(|m| m.finished).sum(),
             running: machines.iter().map(|m| m.running).sum(),
             queued: machines.iter().map(|m| m.queued).sum(),
             held: machines.iter().map(|m| m.held).sum(),
@@ -375,8 +340,11 @@ fn ratio(num: u64, den: u64) -> f64 {
 pub struct TelemetrySnapshot {
     /// Sim time of the snapshot.
     pub sim_time: u64,
-    /// Events consumed so far.
+    /// Records the monitor folded in so far.
     pub events: u64,
+    /// Records the job state machine rejected (an end without a start, a
+    /// hold on a running job, …); they leave every other figure unchanged.
+    pub rejected_records: u64,
     pub submitted: u64,
     pub started: u64,
     pub finished: u64,
@@ -529,7 +497,7 @@ impl StreamingMonitor {
         {
             let mut state = self.shared.lock().expect("monitor lock");
             for (i, &cap) in capacities.iter().enumerate() {
-                let m = state.machine(i);
+                let m = machine_state(&mut state.machines, i);
                 m.capacity = cap;
                 m.capacity_explicit = true;
             }
@@ -541,7 +509,7 @@ impl StreamingMonitor {
     /// time and know their own capacity).
     pub fn set_capacity(&self, machine: usize, capacity: u64) {
         let mut state = self.shared.lock().expect("monitor lock");
-        let m = state.machine(machine);
+        let m = machine_state(&mut state.machines, machine);
         m.capacity = capacity;
         m.capacity_explicit = true;
     }
@@ -690,6 +658,108 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.machines[0].queue_age_high_water, 400);
         assert_eq!((s.queued, s.running), (0, 1));
+    }
+
+    #[test]
+    fn rejected_records_leave_the_state_unchanged() {
+        let records = vec![
+            TraceRecord {
+                time: 0,
+                machine: 0,
+                event: TraceEvent::JobSubmitted {
+                    job: 1,
+                    size: 8,
+                    paired: true,
+                },
+            },
+            TraceRecord {
+                time: 0,
+                machine: 0,
+                event: TraceEvent::JobSubmitted {
+                    job: 2,
+                    size: 4,
+                    paired: false,
+                },
+            },
+            TraceRecord {
+                time: 5,
+                machine: 0,
+                event: TraceEvent::CoschedStart {
+                    job: 2,
+                    with_mate: false,
+                },
+            },
+            // An end without a start, a hold on a running job and a start
+            // before the submission.
+            TraceRecord {
+                time: 10,
+                machine: 0,
+                event: TraceEvent::JobEnded { job: 1 },
+            },
+            TraceRecord {
+                time: 11,
+                machine: 0,
+                event: TraceEvent::CoschedHoldPlaced { job: 2, nodes: 4 },
+            },
+            TraceRecord {
+                time: 12,
+                machine: 0,
+                event: TraceEvent::CoschedStart {
+                    job: 3,
+                    with_mate: false,
+                },
+            },
+        ];
+        let mut m = StreamingMonitor::new().with_capacities(&[16]);
+        for r in &records[..3] {
+            feed(&mut m, r.time, r.machine, r.event.clone());
+        }
+        let before = m.snapshot();
+        for r in &records[3..] {
+            feed(&mut m, r.time, r.machine, r.event.clone());
+        }
+        let after = m.snapshot();
+        assert_eq!(
+            after,
+            TelemetrySnapshot {
+                rejected_records: 3,
+                ..before
+            }
+        );
+        let err = LifecycleSet::from_records(&records).unwrap_err();
+        assert_eq!(err.record, 3, "{err}");
+    }
+
+    /// A long-lived monitor holds no lifecycle of a job that has ended.
+    #[test]
+    fn ended_jobs_leave_the_fold() {
+        let mut m = StreamingMonitor::new();
+        for job in 0..10_000u64 {
+            let t = job * 10;
+            feed(
+                &mut m,
+                t,
+                0,
+                TraceEvent::JobSubmitted {
+                    job,
+                    size: 1,
+                    paired: false,
+                },
+            );
+            feed(
+                &mut m,
+                t + 1,
+                0,
+                TraceEvent::CoschedStart {
+                    job,
+                    with_mate: false,
+                },
+            );
+            feed(&mut m, t + 5, 0, TraceEvent::JobEnded { job });
+        }
+        let s = m.snapshot();
+        assert_eq!((s.finished, s.rejected_records), (10_000, 0));
+        assert!(m.shared.lock().unwrap().live.jobs.is_empty());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * **Lifecycle reconstruction** ([`lifecycle`]) — fold the interleaved
 //!   [`cosched_obs::TraceRecord`] stream back into per-job timelines
 //!   (submit → queued ⇄ held → running → finished), strictly validating
-//!   event ordering so emission bugs fail loudly.
+//!   event ordering so emission bugs fail loudly. The fold lives in
+//!   `cosched-obs`, where the streaming monitor runs the same state
+//!   machine online; it is re-exported here under its old paths.
 //! * **Wait-time attribution** ([`attribution`]) — decompose each job's
 //!   wait into local queueing vs. coscheduling components (hold time,
 //!   yield give-backs, forced releases), aggregated per machine with the
@@ -28,7 +30,8 @@
 //!   deterministically from lifecycles, and Chrome trace-event JSON
 //!   (Perfetto-loadable) with cross-machine flow arrows for RPC edges.
 //!
-//! Everything consumes plain `&[TraceRecord]`, read back through
+//! Everything consumes plain `TraceRecord`s (a slice, or one at a time
+//! into a `LifecycleSet`), read back through
 //! [`cosched_obs::reader::TraceReader`]; no simulation types are needed,
 //! so traces can be analyzed long after (and far away from) the run that
 //! produced them.
@@ -36,16 +39,15 @@
 pub mod attribution;
 pub mod critical;
 pub mod diff;
-pub mod lifecycle;
 pub mod perfetto;
 pub mod prom;
 pub mod render;
 pub mod span_tree;
 
 pub use attribution::{AttributionReport, JobAttribution, MachineAttribution, SchemeGuess};
+pub use cosched_obs::lifecycle::{self, JobLifecycle, LifecycleError, LifecycleSet, Rendezvous};
 pub use critical::{ComboAggregate, CriticalPathReport, PairPath, Segment, SegmentClass};
 pub use diff::{DiffReport, JobDelta};
-pub use lifecycle::{JobLifecycle, LifecycleError, LifecycleSet, Rendezvous};
 pub use perfetto::render_perfetto;
 pub use prom::{
     escape_label_value, render_prometheus, render_prometheus_into, render_telemetry_prometheus,

@@ -253,13 +253,17 @@ pub fn render_telemetry_prometheus_into(w: &mut PromWriter, snap: &TelemetrySnap
         &[],
         snap.sim_time as f64,
     );
-    w.counter(
-        "cosched_trace_events_total",
-        "Trace events consumed by the streaming monitor",
-        &[],
-        snap.events,
-    );
     for (name, help, value) in [
+        (
+            "cosched_trace_events_total",
+            "Trace events consumed by the streaming monitor",
+            snap.events,
+        ),
+        (
+            "cosched_rejected_records_total",
+            "Trace records the job state machine rejected",
+            snap.rejected_records,
+        ),
         (
             "cosched_jobs_submitted_total",
             "Jobs submitted",
@@ -608,7 +612,10 @@ mod tests {
             },
         );
         m.record(500, GLOBAL, TraceEvent::SpanClose { span: 1 });
+        // Job 9 was never submitted: the fold rejects its end.
+        m.record(500, 0, TraceEvent::JobEnded { job: 9 });
         let text = render_telemetry_prometheus(&m.snapshot());
+        assert!(text.contains("cosched_rejected_records_total 1"), "{text}");
         assert!(text.contains("# TYPE cosched_utilization gauge"), "{text}");
         assert!(text.contains("cosched_held_node_proportion 0.45"), "{text}");
         assert!(

@@ -94,6 +94,36 @@ pub fn render_gantt(set: &LifecycleSet, width: usize, max_rows: usize) -> String
     out
 }
 
+/// Running and held node-seconds of one machine per column of `width`
+/// spanning `[0, horizon]`. Running jobs count their size, holds the nodes
+/// the allocator charged for them.
+fn node_time(set: &LifecycleSet, machine: usize, width: usize) -> (Vec<u64>, Vec<u64>) {
+    let span = set.horizon;
+    let mut busy = vec![0u64; width];
+    let mut held = vec![0u64; width];
+    for lc in set.machine_jobs(machine) {
+        let run_iv = match (lc.start, lc.end) {
+            (Some(s), Some(e)) => Some((s, e)),
+            (Some(s), None) => Some((s, span)),
+            _ => None,
+        };
+        for col in 0..width {
+            let t0 = span * col as u64 / width as u64;
+            let t1 = (span * (col as u64 + 1) / width as u64).max(t0 + 1);
+            if let Some((s, e)) = run_iv {
+                busy[col] += lc.size * overlap(t0, t1, s, e);
+            }
+            for &(a, b) in &lc.holds {
+                held[col] += lc.hold_nodes * overlap(t0, t1, a, b);
+            }
+            if let Some(a) = lc.open_hold {
+                held[col] += lc.hold_nodes * overlap(t0, t1, a, span);
+            }
+        }
+    }
+    (busy, held)
+}
+
 /// Utilization strip per machine: each column's density is delivered
 /// node-time over `capacity × bucket`, drawn on a 10-level ramp. With no
 /// explicit capacity the machine's peak concurrent allocation is used.
@@ -108,28 +138,7 @@ pub fn render_utilization(set: &LifecycleSet, width: usize, capacity: Option<u64
         let cap = capacity
             .unwrap_or_else(|| set.peak_running_nodes(machine))
             .max(1);
-        let mut busy = vec![0u64; width];
-        let mut held = vec![0u64; width];
-        for lc in set.machine_jobs(machine) {
-            let run_iv = match (lc.start, lc.end) {
-                (Some(s), Some(e)) => Some((s, e)),
-                (Some(s), None) => Some((s, span)),
-                _ => None,
-            };
-            for col in 0..width {
-                let t0 = span * col as u64 / width as u64;
-                let t1 = (span * (col as u64 + 1) / width as u64).max(t0 + 1);
-                if let Some((s, e)) = run_iv {
-                    busy[col] += lc.size * overlap(t0, t1, s, e);
-                }
-                for &(a, b) in &lc.holds {
-                    held[col] += lc.size * overlap(t0, t1, a, b);
-                }
-                if let Some(a) = lc.open_hold {
-                    held[col] += lc.size * overlap(t0, t1, a, span);
-                }
-            }
-        }
+        let (busy, held) = node_time(set, machine, width);
         let strip = |series: &[u64]| -> String {
             (0..width)
                 .map(|col| {
@@ -247,6 +256,77 @@ mod tests {
         assert!(text.contains("run  |"), "{text}");
         assert!(text.contains("held |"), "{text}");
         assert!(text.contains("mean util"), "{text}");
+    }
+
+    /// On 512-node buddy units a 600-node job's holds reserve 1,024 nodes;
+    /// the strip counts those, as the streaming monitor does.
+    #[test]
+    fn held_node_time_counts_the_charged_nodes_like_the_monitor() {
+        use cosched_obs::{Observer, StreamingMonitor};
+        let records = vec![
+            rec(
+                0,
+                0,
+                TraceEvent::JobSubmitted {
+                    job: 1,
+                    size: 600,
+                    paired: true,
+                },
+            ),
+            rec(
+                0,
+                0,
+                TraceEvent::JobSubmitted {
+                    job: 2,
+                    size: 512,
+                    paired: false,
+                },
+            ),
+            rec(
+                0,
+                0,
+                TraceEvent::CoschedStart {
+                    job: 2,
+                    with_mate: false,
+                },
+            ),
+            rec(
+                100,
+                0,
+                TraceEvent::CoschedHoldPlaced {
+                    job: 1,
+                    nodes: 1024,
+                },
+            ),
+            rec(300, 0, TraceEvent::CoschedDeadlockDemotion { job: 1 }),
+            rec(
+                400,
+                0,
+                TraceEvent::CoschedHoldPlaced {
+                    job: 1,
+                    nodes: 1024,
+                },
+            ),
+            rec(
+                1000,
+                0,
+                TraceEvent::CoschedStart {
+                    job: 1,
+                    with_mate: true,
+                },
+            ),
+            rec(1500, 0, TraceEvent::JobEnded { job: 2 }),
+            rec(2000, 0, TraceEvent::JobEnded { job: 1 }),
+        ];
+        let mut monitor = StreamingMonitor::new().with_capacities(&[4096]);
+        for r in &records {
+            monitor.record(r.time, r.machine, r.event.clone());
+        }
+        let online = &monitor.snapshot().machines[0];
+        let (busy, held) = node_time(&LifecycleSet::from_records(&records).unwrap(), 0, 100);
+        assert_eq!(held.iter().sum::<u64>(), 1024 * (200 + 600));
+        assert_eq!(held.iter().sum::<u64>(), online.held_node_seconds);
+        assert_eq!(busy.iter().sum::<u64>(), online.used_node_seconds);
     }
 
     #[test]

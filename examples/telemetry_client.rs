@@ -9,7 +9,8 @@
 //!
 //! Exits nonzero (with a message on stderr) if any endpoint is
 //! unreachable, malformed, or missing the families the paper's metrics
-//! contract promises. Retries the first connect for a few seconds so the
+//! contract promises, or if `/state` counts records the monitor's job state
+//! machine rejected. Retries the first connect for a few seconds so the
 //! race with the server starting up is harmless.
 
 use coupled_cosched::prelude::TelemetrySnapshot;
@@ -72,6 +73,12 @@ fn run(addr: &str) -> Result<(), String> {
     }
     let snap: TelemetrySnapshot =
         serde_json::from_str(&body).map_err(|e| format!("/state is not a snapshot: {e}"))?;
+    if snap.rejected_records > 0 {
+        return Err(format!(
+            "/state reports {} trace records the job state machine rejected",
+            snap.rejected_records
+        ));
+    }
     println!(
         "/state ok: sim {}s, {} submitted / {} finished, {} alerts active",
         snap.sim_time,

@@ -249,6 +249,11 @@ fn live_domains_match_the_simulator_step_for_step() {
             ]
         };
         assert_eq!(counts(&l), counts(&s), "{label}: monitored counts");
+        assert_eq!(
+            (s.rejected_records, l.rejected_records),
+            (0, 0),
+            "{label}: the job state machine rejected records"
+        );
         assert!(s.rendezvous_commits > 0, "{label}: pairs rendezvoused");
     }
 }

@@ -114,6 +114,7 @@ fn online_snapshot_matches_offline_reconstruction() {
     let snap = monitor.snapshot();
     let records = arts.observer.first.into_sink().records;
     let offline = LifecycleSet::from_records(&records).expect("trace reconstructs");
+    assert_eq!(snap.rejected_records, 0, "the online fold rejected records");
 
     // Job population and terminal states.
     assert_eq!(snap.submitted as usize, offline.jobs.len());
