@@ -1,8 +1,8 @@
-//! Criterion benches for the discrete-event engine substrate: event-queue
-//! throughput and dispatch overhead. These bound how large a coupled
-//! simulation the harness can afford.
+//! Criterion bench for the simulator's event queue: push/pop throughput
+//! over scattered times. It bounds how large a coupled simulation the
+//! harness can afford.
 
-use cosched_sim::{Engine, EventHandler, EventQueue, SimDuration, SimTime};
+use cosched_sim::{EventQueue, SimTime};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_queue_push_pop(c: &mut Criterion) {
@@ -27,54 +27,5 @@ fn bench_queue_push_pop(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_queue_cancel_heavy(c: &mut Criterion) {
-    c.bench_function("event_queue/cancel_half_100k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let ids: Vec<_> = (0..100_000u64)
-                .map(|i| q.push(SimTime::from_secs(i % 997), i))
-                .collect();
-            for id in ids.iter().step_by(2) {
-                q.cancel(*id);
-            }
-            let mut n = 0;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-}
-
-struct Chain {
-    remaining: u64,
-}
-
-impl EventHandler<u64> for Chain {
-    fn handle(&mut self, now: SimTime, _event: u64, queue: &mut EventQueue<u64>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            queue.push(now + SimDuration::from_secs(1), self.remaining);
-        }
-    }
-}
-
-fn bench_engine_dispatch(c: &mut Criterion) {
-    c.bench_function("engine/chained_dispatch_100k", |b| {
-        b.iter(|| {
-            let mut engine = Engine::new();
-            engine.queue_mut().push(SimTime::ZERO, 0u64);
-            let mut model = Chain { remaining: 100_000 };
-            engine.run(&mut model);
-            black_box(engine.dispatched())
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_queue_push_pop,
-    bench_queue_cancel_heavy,
-    bench_engine_dispatch
-);
+criterion_group!(benches, bench_queue_push_pop);
 criterion_main!(benches);

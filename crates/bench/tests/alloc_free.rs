@@ -207,7 +207,7 @@ fn allocator_cycles_are_allocation_free_after_warmup() {
 
 /// A steady event population (each pop schedules a successor, as a job end
 /// is followed by the next start) never grows the queue once it is warm:
-/// the heap holds its high-water capacity and nothing else is recorded.
+/// the heap holds its high-water capacity.
 #[test]
 fn event_queue_steady_push_pop_is_allocation_free_after_warmup() {
     let mut q = EventQueue::new();
@@ -231,7 +231,7 @@ fn event_queue_steady_push_pop_is_allocation_free_after_warmup() {
         }
     });
     assert_eq!(n, 0, "steady-state push/pop must not allocate");
-    assert_eq!((q.len(), q.high_water()), (256, 256));
+    assert_eq!(q.len(), 256);
 }
 
 /// The full per-iteration scheduler path on a machine with a running job

@@ -143,7 +143,8 @@ pub struct SimulationReport {
     /// Largest number of events simultaneously pending: queued completions
     /// and sweeps plus arrivals not yet dispatched.
     pub queue_high_water: usize,
-    /// Events cancelled before dispatch (re-armed sweep timers etc.).
+    /// Always 0: the simulators never cancel a queued event. Kept so the
+    /// report's shape (and its `Debug` text) stays stable for consumers.
     pub events_cancelled: u64,
     /// Deterministic run activity counters.
     pub stats: RunStats,
@@ -924,7 +925,7 @@ impl<O: Observer> CoupledSimulation<O> {
             rendezvous,
             events: engine.events,
             queue_high_water,
-            events_cancelled: engine.queue.cancelled(),
+            events_cancelled: 0,
             stats: engine.stats,
             sched_stats: [0, 1].map(|m| engine.domains[m].machine().stats()),
             metrics: MetricsSnapshot::default(),

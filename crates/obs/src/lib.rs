@@ -4,8 +4,8 @@
 //! never perturb simulation results:
 //!
 //! * **Event tracing** ([`trace`], [`observe`]) — structured,
-//!   sim-time-stamped [`trace::TraceEvent`]s flow from the engine,
-//!   scheduler, coscheduling driver, and protocol layer into an
+//!   sim-time-stamped [`trace::TraceEvent`]s flow from the scheduler and
+//!   the coscheduling driver (its protocol calls included) into an
 //!   [`observe::Observer`]. The default [`observe::NoopObserver`] is a
 //!   zero-sized type whose `active()` is a compile-time constant `false`,
 //!   so event construction is skipped entirely (static dispatch, no

@@ -175,8 +175,8 @@ pub struct LifecycleSet {
 impl LifecycleSet {
     /// Fold a time-ordered event stream into per-job timelines.
     ///
-    /// Non-lifecycle events (`Sched*`, `Rpc*`, `Engine*`, `Frame*`) only
-    /// advance the horizon; lifecycle events must respect the job state
+    /// Non-lifecycle events (`Sched*`, `Rpc*`, `Span*`, `Alert*`, release
+    /// sweeps) only advance the horizon; lifecycle events must respect the job state
     /// machine or reconstruction fails with the offending record's index.
     pub fn from_records(records: &[TraceRecord]) -> Result<Self, LifecycleError> {
         let mut set = LifecycleSet::default();
@@ -333,6 +333,13 @@ impl LifecycleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::RpcKind;
+
+    /// A record outside the job state machine.
+    const PING: TraceEvent = TraceEvent::RpcCall {
+        kind: RpcKind::Ping,
+        ok: true,
+    };
 
     fn rec(time: u64, machine: usize, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -412,7 +419,7 @@ mod tests {
         let records = vec![
             submit(0, 0, 2, true),
             rec(10, 0, TraceEvent::CoschedHoldPlaced { job: 2, nodes: 10 }),
-            rec(50, 0, TraceEvent::EngineDispatch { seq: 9 }),
+            rec(50, 0, PING),
         ];
         let set = LifecycleSet::from_records(&records).unwrap();
         let lc = &set.jobs[&(0, 2)];
@@ -553,12 +560,9 @@ mod tests {
         assert!(err.message.contains("end of Held"), "{err}");
         assert_eq!(set, before);
         // `apply` takes an older record; `apply_in_order` refuses it.
-        set.apply(&rec(3, 0, TraceEvent::EngineDispatch { seq: 1 }))
-            .unwrap();
+        set.apply(&rec(3, 0, PING)).unwrap();
         assert_eq!((set.records, set.horizon), (3, 5));
-        let err = set
-            .apply_in_order(&rec(4, 0, TraceEvent::EngineDispatch { seq: 2 }))
-            .unwrap_err();
+        let err = set.apply_in_order(&rec(4, 0, PING)).unwrap_err();
         assert!(err.message.contains("time went backwards"), "{err}");
     }
 

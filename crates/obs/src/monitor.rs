@@ -318,11 +318,6 @@ impl MachineTelemetry {
     pub fn held_node_proportion(&self) -> f64 {
         ratio(self.held_nodes, self.capacity)
     }
-
-    /// Time-averaged utilization over the run so far.
-    pub fn avg_utilization(&self, sim_time: u64) -> f64 {
-        ratio(self.used_node_seconds, self.capacity * sim_time)
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -873,7 +868,15 @@ mod tests {
             TraceEvent::CoschedHoldPlaced { job: 1, nodes: 60 },
         );
         // Advance sim time past the hold duration via an unrelated event.
-        feed(&mut m, 400, 0, TraceEvent::EngineDispatch { seq: 1 });
+        feed(
+            &mut m,
+            400,
+            0,
+            TraceEvent::RpcCall {
+                kind: crate::trace::RpcKind::Ping,
+                ok: true,
+            },
+        );
         let s = m.snapshot();
         assert_eq!(s.active_alerts.len(), 1, "{:?}", s.active_alerts);
         assert_eq!(s.active_alerts[0].rule, "pressure");
@@ -890,7 +893,15 @@ mod tests {
                 with_mate: true,
             },
         );
-        feed(&mut m, 600, 0, TraceEvent::EngineDispatch { seq: 2 });
+        feed(
+            &mut m,
+            600,
+            0,
+            TraceEvent::RpcCall {
+                kind: crate::trace::RpcKind::Ping,
+                ok: true,
+            },
+        );
         let s = m.snapshot();
         assert!(s.active_alerts.is_empty());
         assert_eq!(s.alerts_resolved_total, 1);

@@ -106,10 +106,6 @@ impl<S: Sink> SinkObserver<S> {
     pub fn sink(&self) -> &S {
         &self.sink
     }
-
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
 }
 
 impl<S: Sink> Observer for SinkObserver<S> {
@@ -269,7 +265,7 @@ mod tests {
     use super::*;
 
     fn sample(seq: u64) -> TraceEvent {
-        TraceEvent::EngineDispatch { seq }
+        TraceEvent::JobEnded { job: seq }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// The profiled phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -19,8 +18,6 @@ pub enum Phase {
     ReleaseSweep,
     /// One cross-domain RPC round-trip.
     RpcCall,
-    /// One event dispatched from the queue.
-    EventDispatch,
 }
 
 impl Phase {
@@ -29,7 +26,6 @@ impl Phase {
             Phase::SchedulerIteration => "scheduler-iteration",
             Phase::ReleaseSweep => "release-sweep",
             Phase::RpcCall => "rpc-call",
-            Phase::EventDispatch => "event-dispatch",
         }
     }
 }
@@ -53,15 +49,6 @@ impl PhaseProfiler {
         Self::default()
     }
 
-    /// Time a closure and attribute it to `phase`.
-    #[inline]
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let result = f();
-        self.record(phase, start.elapsed().as_nanos() as u64);
-        result
-    }
-
     /// Record an externally measured sample (nanoseconds).
     pub fn record(&mut self, phase: Phase, nanos: u64) {
         let stats = self.phases.entry(phase).or_insert(PhaseStats {
@@ -74,22 +61,6 @@ impl PhaseProfiler {
         stats.total_ns = stats.total_ns.saturating_add(nanos);
         stats.min_ns = stats.min_ns.min(nanos);
         stats.max_ns = stats.max_ns.max(nanos);
-    }
-
-    /// Merge another profiler's samples into this one.
-    pub fn merge(&mut self, other: &PhaseProfiler) {
-        for (&phase, stats) in &other.phases {
-            let mine = self.phases.entry(phase).or_insert(PhaseStats {
-                calls: 0,
-                total_ns: 0,
-                min_ns: u64::MAX,
-                max_ns: 0,
-            });
-            mine.calls += stats.calls;
-            mine.total_ns = mine.total_ns.saturating_add(stats.total_ns);
-            mine.min_ns = mine.min_ns.min(stats.min_ns);
-            mine.max_ns = mine.max_ns.max(stats.max_ns);
-        }
     }
 
     /// Serializable summary, one entry per phase seen.
@@ -127,8 +98,7 @@ mod tests {
     #[test]
     fn records_and_snapshots() {
         let mut p = PhaseProfiler::new();
-        let out = p.time(Phase::SchedulerIteration, || 41 + 1);
-        assert_eq!(out, 42);
+        p.record(Phase::SchedulerIteration, 40);
         p.record(Phase::SchedulerIteration, 100);
         p.record(Phase::ReleaseSweep, 7);
         let snap = p.snapshot();
@@ -140,22 +110,19 @@ mod tests {
             .iter()
             .find(|s| s.phase == "scheduler-iteration")
             .unwrap();
-        assert_eq!(iter.calls, 2);
-        assert!(iter.max_ns >= 100);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = PhaseProfiler::new();
-        a.record(Phase::RpcCall, 10);
-        let mut b = PhaseProfiler::new();
-        b.record(Phase::RpcCall, 30);
-        b.record(Phase::EventDispatch, 5);
-        a.merge(&b);
-        let snap = a.snapshot();
-        let rpc = snap.iter().find(|s| s.phase == "rpc-call").unwrap();
-        assert_eq!(rpc.calls, 2);
-        assert_eq!(rpc.total_ns, 40);
-        assert_eq!(rpc.mean_ns, 20);
+        assert_eq!(
+            (
+                iter.calls,
+                iter.total_ns,
+                iter.mean_ns,
+                iter.min_ns,
+                iter.max_ns
+            ),
+            (2, 140, 70, 40, 100)
+        );
+        assert!(
+            snap.iter().all(|s| s.phase != "rpc-call"),
+            "unseen phase listed"
+        );
     }
 }

@@ -192,6 +192,30 @@ mod tests {
         assert!(err.snippet.ends_with('…'));
     }
 
+    /// A trace written by an older build may carry kinds this vocabulary
+    /// no longer has; reading it fails at that line instead of panicking.
+    #[test]
+    fn removed_event_kind_is_an_error_at_its_file_and_line() {
+        let good = write_trace_string(&[sample(1)]);
+        let text = format!(
+            "{good}{{\"time\":5,\"machine\":0,\"event\":{{\"EngineDispatch\":{{\"seq\":7}}}}}}\n"
+        );
+        let err = read_trace_str(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.snippet.contains("EngineDispatch"), "{err:?}");
+
+        let path = std::env::temp_dir().join(format!(
+            "cosched-reader-removed-kind-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, &text).unwrap();
+        let result = read_trace_file(&path);
+        std::fs::remove_file(&path).unwrap();
+        let message = result.unwrap_err();
+        let location = format!("{}:line 2: invalid trace record", path.display());
+        assert!(message.starts_with(&location), "{message}");
+    }
+
     #[test]
     fn iterator_yields_then_errors() {
         let good = write_trace_string(&[sample(1)]);

@@ -29,17 +29,11 @@ pub const NO_SPAN: u64 = 0;
 
 /// Structured events emitted across the stack.
 ///
-/// Grouped by layer: `Engine*` (cosched-sim), `Job*` (lifecycle anchors
-/// emitted by the coupled driver), `Sched*` (cosched-sched), `Cosched*`
-/// (cosched-core, Algorithm 1), `Rpc*`/`Frame*` (cosched-proto).
+/// Grouped by layer: `Job*` (lifecycle anchors emitted by the coupled
+/// driver), `Sched*` (cosched-sched), `Cosched*` (cosched-core, Algorithm
+/// 1), `Rpc*` (one per cross-domain call).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
-    // ----- discrete-event engine ------------------------------------------
-    /// The engine dispatched the event with this sequence number.
-    EngineDispatch { seq: u64 },
-    /// An event was cancelled before dispatch.
-    EngineCancel { seq: u64 },
-
     // ----- job lifecycle ---------------------------------------------------
     /// A job arrived at its machine's queue (`paired` = it has a mate on
     /// the other machine). Anchors lifecycle reconstruction: every other
@@ -106,10 +100,6 @@ pub enum TraceEvent {
     RpcCall { kind: RpcKind, ok: bool },
     /// An RPC timed out and the caller fell back to `MateStatus::Unknown`.
     RpcTimeout { kind: RpcKind },
-    /// A frame was encoded onto the wire (`bytes` includes the header).
-    FrameEncoded { bytes: u64 },
-    /// A frame was decoded off the wire (`bytes` includes the header).
-    FrameDecoded { bytes: u64 },
 
     // ----- alerting ---------------------------------------------------------
     /// An alert rule's condition held past its `for` duration. `machine` is
@@ -222,8 +212,6 @@ impl TraceEvent {
     /// Stable kebab-case name of the event kind (metric keys, filtering).
     pub fn kind(&self) -> &'static str {
         match self {
-            TraceEvent::EngineDispatch { .. } => "engine-dispatch",
-            TraceEvent::EngineCancel { .. } => "engine-cancel",
             TraceEvent::JobSubmitted { .. } => "job-submitted",
             TraceEvent::JobEnded { .. } => "job-ended",
             TraceEvent::SchedIterationStart { .. } => "sched-iteration-start",
@@ -242,8 +230,6 @@ impl TraceEvent {
             TraceEvent::CoschedStart { .. } => "cosched-start",
             TraceEvent::RpcCall { .. } => "rpc-call",
             TraceEvent::RpcTimeout { .. } => "rpc-timeout",
-            TraceEvent::FrameEncoded { .. } => "frame-encoded",
-            TraceEvent::FrameDecoded { .. } => "frame-decoded",
             TraceEvent::AlertRaised { .. } => "alert-raised",
             TraceEvent::AlertResolved { .. } => "alert-resolved",
             TraceEvent::SpanOpen { .. } => "span-open",
@@ -255,7 +241,7 @@ impl TraceEvent {
     /// [`TraceEvent::variant_index`] (whose `match` is exhaustive, so adding
     /// a variant without updating both is a compile error), and asserted
     /// against [`TraceEvent::samples`] coverage in tests.
-    pub const VARIANT_COUNT: usize = 26;
+    pub const VARIANT_COUNT: usize = 22;
 
     /// Dense index of this variant in declaration order. The exhaustive
     /// `match` is the enforcement mechanism: a new variant fails to compile
@@ -263,32 +249,28 @@ impl TraceEvent {
     /// then fails until a sample (and thus a serde + `kind()` arm) exists.
     pub fn variant_index(&self) -> usize {
         match self {
-            TraceEvent::EngineDispatch { .. } => 0,
-            TraceEvent::EngineCancel { .. } => 1,
-            TraceEvent::JobSubmitted { .. } => 2,
-            TraceEvent::JobEnded { .. } => 3,
-            TraceEvent::SchedIterationStart { .. } => 4,
-            TraceEvent::SchedIterationEnd { .. } => 5,
-            TraceEvent::SchedPick { .. } => 6,
-            TraceEvent::SchedBackfillHit { .. } => 7,
-            TraceEvent::SchedDrainEngaged { .. } => 8,
-            TraceEvent::SchedAllocFail { .. } => 9,
-            TraceEvent::CoschedHoldPlaced { .. } => 10,
-            TraceEvent::CoschedYield { .. } => 11,
-            TraceEvent::CoschedRendezvousCommit { .. } => 12,
-            TraceEvent::CoschedReleaseSweep { .. } => 13,
-            TraceEvent::CoschedHeldCapDegradation { .. } => 14,
-            TraceEvent::CoschedYieldCapEscalation { .. } => 15,
-            TraceEvent::CoschedDeadlockDemotion { .. } => 16,
-            TraceEvent::CoschedStart { .. } => 17,
-            TraceEvent::RpcCall { .. } => 18,
-            TraceEvent::RpcTimeout { .. } => 19,
-            TraceEvent::FrameEncoded { .. } => 20,
-            TraceEvent::FrameDecoded { .. } => 21,
-            TraceEvent::AlertRaised { .. } => 22,
-            TraceEvent::AlertResolved { .. } => 23,
-            TraceEvent::SpanOpen { .. } => 24,
-            TraceEvent::SpanClose { .. } => 25,
+            TraceEvent::JobSubmitted { .. } => 0,
+            TraceEvent::JobEnded { .. } => 1,
+            TraceEvent::SchedIterationStart { .. } => 2,
+            TraceEvent::SchedIterationEnd { .. } => 3,
+            TraceEvent::SchedPick { .. } => 4,
+            TraceEvent::SchedBackfillHit { .. } => 5,
+            TraceEvent::SchedDrainEngaged { .. } => 6,
+            TraceEvent::SchedAllocFail { .. } => 7,
+            TraceEvent::CoschedHoldPlaced { .. } => 8,
+            TraceEvent::CoschedYield { .. } => 9,
+            TraceEvent::CoschedRendezvousCommit { .. } => 10,
+            TraceEvent::CoschedReleaseSweep { .. } => 11,
+            TraceEvent::CoschedHeldCapDegradation { .. } => 12,
+            TraceEvent::CoschedYieldCapEscalation { .. } => 13,
+            TraceEvent::CoschedDeadlockDemotion { .. } => 14,
+            TraceEvent::CoschedStart { .. } => 15,
+            TraceEvent::RpcCall { .. } => 16,
+            TraceEvent::RpcTimeout { .. } => 17,
+            TraceEvent::AlertRaised { .. } => 18,
+            TraceEvent::AlertResolved { .. } => 19,
+            TraceEvent::SpanOpen { .. } => 20,
+            TraceEvent::SpanClose { .. } => 21,
         }
     }
 
@@ -296,8 +278,6 @@ impl TraceEvent {
     /// round-trip tests (`tests` below and the reader round-trip suite).
     pub fn samples() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::EngineDispatch { seq: 7 },
-            TraceEvent::EngineCancel { seq: 8 },
             TraceEvent::JobSubmitted {
                 job: 1,
                 size: 512,
@@ -358,8 +338,6 @@ impl TraceEvent {
             TraceEvent::RpcTimeout {
                 kind: RpcKind::TryStartMate,
             },
-            TraceEvent::FrameEncoded { bytes: 96 },
-            TraceEvent::FrameDecoded { bytes: 96 },
             TraceEvent::AlertRaised {
                 rule: "held_node_proportion>0.4".to_string(),
                 machine: GLOBAL,
@@ -404,10 +382,7 @@ mod tests {
 
     #[test]
     fn kind_names_are_stable() {
-        assert_eq!(
-            TraceEvent::EngineDispatch { seq: 0 }.kind(),
-            "engine-dispatch"
-        );
+        assert_eq!(TraceEvent::JobEnded { job: 0 }.kind(), "job-ended");
         assert_eq!(
             TraceEvent::RpcTimeout {
                 kind: RpcKind::GetMateStatus

@@ -50,8 +50,6 @@ pub fn encode<T: Serialize>(msg: &T) -> Bytes {
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: BytesMut,
-    frames_decoded: u64,
-    bytes_decoded: u64,
 }
 
 impl FrameDecoder {
@@ -82,24 +80,7 @@ impl FrameDecoder {
         self.buf.advance(4);
         let payload = self.buf.split_to(len);
         let msg = serde_json::from_slice(&payload).map_err(FrameError::Malformed)?;
-        self.frames_decoded += 1;
-        self.bytes_decoded += 4 + len as u64;
         Ok(Some(msg))
-    }
-
-    /// Bytes buffered but not yet consumed.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Complete frames decoded over the decoder's lifetime.
-    pub fn frames_decoded(&self) -> u64 {
-        self.frames_decoded
-    }
-
-    /// Total wire bytes consumed by decoded frames (header included).
-    pub fn bytes_decoded(&self) -> u64 {
-        self.bytes_decoded
     }
 }
 
@@ -117,9 +98,10 @@ mod tests {
         dec.extend(&wire);
         let back: Request = dec.next().unwrap().unwrap();
         assert_eq!(back, req);
-        assert_eq!(dec.pending_bytes(), 0);
-        assert_eq!(dec.frames_decoded(), 1);
-        assert_eq!(dec.bytes_decoded(), wire.len() as u64);
+        assert!(
+            dec.next::<Request>().unwrap().is_none(),
+            "frame fully consumed"
+        );
     }
 
     #[test]

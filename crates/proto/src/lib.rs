@@ -19,21 +19,23 @@
 //!   single-process deployments;
 //! * [`tcp`] — a TCP transport and a threaded server, with timeouts that
 //!   surface as [`transport::ProtoError::Timeout`] so the caller can apply
-//!   the paper's fault-tolerance rule (remote unknown ⇒ start normally).
-
+//!   the paper's fault-tolerance rule (remote unknown ⇒ start normally);
 //! * [`span`] — span-context propagation: requests travel in a
 //!   [`span::TracedRequest`] envelope carrying the caller's causal span id,
 //!   so remote handler work parents under the caller's span.
+//!
+//! Transports do not count or time calls themselves: the coupled
+//! simulator emits one `RpcCall` or `RpcTimeout` trace record per call
+//! (`cosched_obs::trace`), and those records feed the streaming monitor,
+//! `/metrics` and the trace analyzers.
 
 pub mod frame;
 pub mod inproc;
-pub mod instrument;
 pub mod message;
 pub mod span;
 pub mod tcp;
 pub mod transport;
 
-pub use instrument::{InstrumentedTransport, TransportMetrics};
 pub use message::{MateStatus, Request, Response};
 pub use span::{SpanContext, TracedRequest};
 pub use transport::{DomainService, ProtoError, Transport};

@@ -1,14 +1,12 @@
-//! Deterministic discrete-event simulation engine.
+//! Deterministic building blocks of the discrete-event simulator.
 //!
-//! This crate is the substrate underneath the coscheduling simulator
-//! (the role Qsim plays for the Cobalt resource manager in the paper).
-//! It provides:
+//! The event loop itself lives in `cosched-core` (the role Qsim plays for
+//! the Cobalt resource manager in the paper); this leaf crate holds what it
+//! is built from:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-second simulation clock types,
-//! * [`EventQueue`] — a cancellable priority queue of timestamped events with
+//! * [`EventQueue`] — a priority queue of timestamped events with
 //!   deterministic FIFO tie-breaking,
-//! * [`Engine`] — a small driver that pops events and dispatches them to an
-//!   [`EventHandler`],
 //! * [`IdHashMap`] / [`IdHashSet`] — maps and sets keyed by integer ids,
 //!   hashed with a deterministic multiply hasher instead of SipHash,
 //! * [`rng`] — seedable, reproducible random-number plumbing,
@@ -20,14 +18,12 @@
 //! relied on by the reproduction harness and asserted by integration tests.
 
 pub mod dist;
-pub mod engine;
 pub mod event;
 pub mod idhash;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Engine, EventHandler, StepOutcome};
-pub use event::{EventId, EventQueue, ScheduledEvent};
+pub use event::{EventQueue, ScheduledEvent};
 pub use idhash::{IdHashMap, IdHashSet};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime, DAY, HOUR, MINUTE, SECOND};

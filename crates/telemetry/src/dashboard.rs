@@ -151,7 +151,7 @@ fn fmt_duration(secs: u64) -> String {
 mod tests {
     use super::*;
     use cosched_obs::monitor::StreamingMonitor;
-    use cosched_obs::trace::TraceEvent;
+    use cosched_obs::trace::{RpcKind, TraceEvent};
     use cosched_obs::{AlertRule, Observer};
 
     #[test]
@@ -191,7 +191,14 @@ mod tests {
             },
         );
         m.record(10, 0, TraceEvent::CoschedHoldPlaced { job: 1, nodes: 90 });
-        m.record(120, 1, TraceEvent::EngineDispatch { seq: 1 });
+        m.record(
+            120,
+            1,
+            TraceEvent::RpcCall {
+                kind: RpcKind::Ping,
+                ok: true,
+            },
+        );
         let text = render_dashboard(&m.snapshot(), "127.0.0.1:9184");
         assert!(text.contains("cosched watch · 127.0.0.1:9184"), "{text}");
         assert!(text.contains("machine 0"), "{text}");

@@ -81,14 +81,6 @@ impl SegmentClass {
     fn index(self) -> usize {
         SegmentClass::ALL.iter().position(|&c| c == self).unwrap()
     }
-
-    /// True for the instantaneous link classes.
-    pub fn is_link(self) -> bool {
-        matches!(
-            self,
-            SegmentClass::Rpc | SegmentClass::Demotion | SegmentClass::BackfillShadow
-        )
-    }
 }
 
 /// One segment of a pair's critical path: `[from, to)` in sim seconds

@@ -25,8 +25,8 @@
 //!   segment classes (local-queue / hold / yield / rpc / demotion /
 //!   backfill-shadow) and aggregated per scheme combo.
 //! * **Exposition** ([`prom`], [`render`], [`perfetto`]) — Prometheus
-//!   text-format output for [`cosched_obs::MetricsSnapshot`]s and
-//!   transport metrics, ASCII Gantt/utilization timelines rendered
+//!   text-format output for [`cosched_obs::MetricsSnapshot`]s and live
+//!   telemetry snapshots, ASCII Gantt/utilization timelines rendered
 //!   deterministically from lifecycles, and Chrome trace-event JSON
 //!   (Perfetto-loadable) with cross-machine flow arrows for RPC edges.
 //!
@@ -51,8 +51,7 @@ pub use diff::{DiffReport, JobDelta};
 pub use perfetto::render_perfetto;
 pub use prom::{
     escape_label_value, render_prometheus, render_prometheus_into, render_telemetry_prometheus,
-    render_telemetry_prometheus_into, render_transport_prometheus,
-    render_transport_prometheus_into, sanitize_name, PromWriter,
+    render_telemetry_prometheus_into, sanitize_name, PromWriter,
 };
 pub use render::{render_gantt, render_utilization};
 pub use span_tree::{SpanNode, SpanTree, SpanTreeError};

@@ -12,14 +12,13 @@
 //!
 //! All rendering funnels through [`PromWriter`], which tracks which metric
 //! families have already had their `# HELP`/`# TYPE` headers emitted:
-//! compose several snapshots into one exposition (registry + transport +
-//! telemetry on a `/metrics` endpoint) and each family's headers still
-//! appear exactly once, as the format requires.
+//! compose several snapshots into one exposition (registry + telemetry on
+//! a `/metrics` endpoint) and each family's headers still appear exactly
+//! once, as the format requires.
 
 use cosched_obs::metrics::{CounterSnapshot, HistogramSnapshot, MetricsSnapshot};
 use cosched_obs::monitor::TelemetrySnapshot;
 use cosched_obs::trace::GLOBAL;
-use cosched_proto::TransportMetrics;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -203,35 +202,6 @@ fn render_histogram_series(
     let _ = writeln!(out, "{name}_bucket{{{prefix}le=\"+Inf\"}} {}", h.count);
     let _ = writeln!(out, "{name}_sum{plain} {}", h.sum);
     let _ = writeln!(out, "{name}_count{plain} {}", h.count);
-}
-
-/// Render an instrumented transport's activity
-/// ([`cosched_proto::TransportMetrics`]) to Prometheus text format:
-/// aggregate request/failure counters, per-kind call and timeout counters
-/// (as a `kind` label), and wall-clock latency histograms both aggregate
-/// and per kind. Per-kind series are emitted in the snapshot's order
-/// (fixed kind order), so equal snapshots render byte-identically.
-pub fn render_transport_prometheus(metrics: &TransportMetrics) -> String {
-    let mut w = PromWriter::new();
-    render_transport_prometheus_into(&mut w, metrics);
-    w.finish()
-}
-
-/// Transport exposition through a shared [`PromWriter`].
-pub fn render_transport_prometheus_into(w: &mut PromWriter, metrics: &TransportMetrics) {
-    w.counter("cosched_rpc_requests_total", "", &[], metrics.calls);
-    w.counter("cosched_rpc_failures_total", "", &[], metrics.failures);
-    for (kind, n) in &metrics.calls_by_kind {
-        w.counter("cosched_rpc_calls_total", "", &[("kind", kind)], *n);
-    }
-    w.counter("cosched_rpc_timeouts_total", "", &[], metrics.timeouts);
-    for (kind, n) in &metrics.timeouts_by_kind {
-        w.counter("cosched_rpc_timeouts_total", "", &[("kind", kind)], *n);
-    }
-    w.histogram("cosched_rpc_latency_ns", "", None, &metrics.latency_ns);
-    for (kind, h) in &metrics.latency_by_kind {
-        w.histogram("cosched_rpc_latency_ns", "", Some(("kind", kind)), h);
-    }
 }
 
 /// Render a live [`TelemetrySnapshot`] (the streaming monitor's view) to
@@ -532,54 +502,6 @@ mod tests {
         );
         assert!(text.contains("job_wait_secs_sum 1003"), "{text}");
         assert!(text.contains("job_wait_secs_count 4"), "{text}");
-    }
-
-    #[test]
-    fn renders_transport_metrics_with_kind_labels() {
-        use cosched_proto::{InstrumentedTransport, Request, Response, Transport};
-        let mut t =
-            InstrumentedTransport::new(cosched_proto::transport::Loopback(|_req: Request| {
-                Response::Pong
-            }));
-        t.call(&Request::Ping).unwrap();
-        t.call(&Request::Ping).unwrap();
-        t.call(&Request::GetMateJob {
-            for_job: cosched_workload::JobId(3),
-        })
-        .unwrap();
-        let text = render_transport_prometheus(&t.metrics());
-        assert!(text.contains("cosched_rpc_requests_total 3"), "{text}");
-        assert!(
-            text.contains("cosched_rpc_calls_total{kind=\"ping\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("cosched_rpc_calls_total{kind=\"get_mate_job\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("cosched_rpc_timeouts_total 0"), "{text}");
-        assert!(
-            text.contains("cosched_rpc_latency_ns_bucket{kind=\"ping\",le=\"+Inf\"} 2"),
-            "{text}"
-        );
-        assert!(text.contains("cosched_rpc_latency_ns_count 3"), "{text}");
-        assert!(
-            text.contains("cosched_rpc_latency_ns_count{kind=\"get_mate_job\"} 1"),
-            "{text}"
-        );
-        // One family header despite aggregate + per-kind series.
-        assert_eq!(
-            text.matches("# TYPE cosched_rpc_latency_ns histogram")
-                .count(),
-            1,
-            "{text}"
-        );
-        assert_eq!(
-            text.matches("# TYPE cosched_rpc_timeouts_total counter")
-                .count(),
-            1,
-            "{text}"
-        );
     }
 
     #[test]

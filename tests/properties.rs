@@ -110,32 +110,6 @@ proptest! {
             last = Some((ev.time, ev.event));
         }
     }
-
-    #[test]
-    fn cancelled_events_never_fire(
-        times in prop::collection::vec(0u64..100, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.push(SimTime::from_secs(t), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                q.cancel(*id);
-                cancelled.insert(i);
-            }
-        }
-        let mut seen = 0;
-        while let Some(ev) = q.pop() {
-            prop_assert!(!cancelled.contains(&ev.event), "cancelled event fired");
-            seen += 1;
-        }
-        prop_assert_eq!(seen, times.len() - cancelled.len());
-    }
 }
 
 // ------------------------------------------------------------------- pairing
