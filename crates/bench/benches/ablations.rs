@@ -31,7 +31,7 @@ fn bench_release_period_cost(c: &mut Criterion) {
 fn bench_policy_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_policy");
     group.sample_size(10);
-    for policy in [PolicyKind::Wfp, PolicyKind::Fcfs, PolicyKind::Sjf] {
+    for policy in [PolicyKind::Wfp, PolicyKind::Fcfs] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{policy:?}")),
             &policy,

@@ -1,13 +1,10 @@
 //! Observer-overhead microbench: per-event cost of the no-op observer (the
-//! compiled-away default), the JSONL sink, the bounded ring sink, the
-//! streaming telemetry monitor, and the production tee (JSONL + monitor).
+//! compiled-away default), the JSONL sink, the streaming telemetry monitor, and the production tee (JSONL + monitor).
 //! Run with `cargo bench -p cosched-bench --bench observer`; representative
 //! numbers are recorded in `EXPERIMENTS.md`.
 
 use cosched_obs::monitor::StreamingMonitor;
-use cosched_obs::{
-    JsonlSink, NoopObserver, Observer, RingSink, SinkObserver, TeeObserver, TraceEvent,
-};
+use cosched_obs::{JsonlSink, NoopObserver, Observer, SinkObserver, TeeObserver, TraceEvent};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// A deterministic, lifecycle-coherent event stream: `jobs` short jobs per
@@ -77,14 +74,6 @@ fn bench_observers(c: &mut Criterion) {
             let mut obs = SinkObserver::new(JsonlSink::new(Vec::with_capacity(1 << 20)));
             drive(&mut obs, &events);
             black_box(obs.sink().lines())
-        })
-    });
-
-    group.bench_function("ring_sink", |b| {
-        b.iter(|| {
-            let mut obs = SinkObserver::new(RingSink::new(512));
-            drive(&mut obs, &events);
-            black_box(obs.sink().total())
         })
     });
 

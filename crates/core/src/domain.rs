@@ -185,6 +185,11 @@ impl Domain {
         &mut self.machine
     }
 
+    /// The peer domain's machine.
+    pub fn peer(&self) -> MachineId {
+        self.peer
+    }
+
     /// The mate registry shared with the peer.
     pub fn registry(&self) -> &MateRegistry {
         &self.registry

@@ -18,6 +18,7 @@ use crate::domain::{Domain, SubmitError, Sweep};
 use crate::registry::MateRegistry;
 use cosched_metrics::JobRecord;
 use cosched_obs::monitor::StreamingMonitor;
+use cosched_obs::{Observer, TraceEvent};
 use cosched_proto::{DomainService, Request, Response, SpanContext, Transport};
 use cosched_sched::Machine;
 use cosched_sim::SimTime;
@@ -69,10 +70,10 @@ impl LiveDomain {
 
     /// Attach a streaming monitor: the domain reports submits, Algorithm 1
     /// transitions (start/hold/yield, scheme shifts, rendezvous commits,
-    /// forced releases), and completions into it, and registers its
-    /// capacity under its machine index. Serve the same monitor via
-    /// `cosched_telemetry` to expose the daemon's `/metrics`, `/healthz`,
-    /// and `/state`.
+    /// forced releases), its protocol calls and their timeouts, and
+    /// completions into it, and registers its capacity under its machine
+    /// index. Serve the same monitor via `cosched_telemetry` to expose the
+    /// daemon's `/metrics`, `/healthz`, and `/state`.
     pub fn attach_telemetry(&self, monitor: StreamingMonitor) {
         let mut g = self.inner.lock();
         let config = g.domain.machine().config();
@@ -137,17 +138,40 @@ impl LiveDomain {
             }
             g.domain.machine_mut().begin_iteration();
         }
+        // Each protocol call's kind and outcome, noted only while a monitor
+        // is attached.
+        let mut calls = Vec::new();
         loop {
             // Phase 1: pick a candidate and snapshot its context under the
             // lock.
-            let Some(ready) = self.inner.lock().domain.pick(now) else {
-                break;
+            let (ready, watched) = {
+                let mut g = self.inner.lock();
+                let Some(ready) = g.domain.pick(now) else {
+                    break;
+                };
+                (ready, g.monitor.is_some())
             };
             // Phase 2: run Algorithm 1 with the lock released.
-            let outcome = ready.decide(|req| remote.call(req));
-            // Phase 3: commit under the lock.
+            let outcome = ready.decide(|req| {
+                let response = remote.call(req);
+                if watched {
+                    calls.push((req.trace_kind(), response.is_ok()));
+                }
+                response
+            });
+            // Phase 3: record the calls as the simulator does, under the
+            // peer's machine index, then commit under the lock.
             let mut g = self.inner.lock();
             let g = &mut *g;
+            let peer = g.domain.peer().0;
+            for (kind, ok) in calls.drain(..) {
+                let event = if ok {
+                    TraceEvent::RpcCall { kind, ok: true }
+                } else {
+                    TraceEvent::RpcTimeout { kind }
+                };
+                g.monitor.record(now.as_secs(), peer, event);
+            }
             let id = ready.job.id;
             if let Some(end) = g
                 .domain
@@ -376,6 +400,8 @@ mod tests {
         // 4 nodes × 60 s on each machine.
         assert_eq!(snap.machines[0].used_node_seconds, 240);
         assert_eq!(snap.machines[1].used_node_seconds, 240);
+        // Algorithm 1 makes three protocol calls in each of the two pumps.
+        assert_eq!((snap.rpc_calls, snap.rpc_timeouts), (6, 0));
 
         drop(to_b);
         t_b.join().unwrap();
@@ -497,12 +523,17 @@ mod tests {
             registry_with_pair(),
             MachineId(1),
         );
+        let monitor = StreamingMonitor::new();
+        a.attach_telemetry(monitor.clone());
         a.submit(job(0, 1, 4, 60), SimTime::ZERO).unwrap();
         a.pump(SimTime::ZERO, &mut Dead);
         assert!(
             a.held().is_empty(),
             "fault tolerance: no waiting on a dead peer"
         );
+        // The failed call is recorded as a timeout, which counts as a call.
+        let snap = monitor.snapshot();
+        assert_eq!((snap.rpc_calls, snap.rpc_timeouts), (1, 1));
         assert_eq!(a.complete_due(SimTime::from_secs(60)), 1);
         assert!(a.drained());
     }

@@ -53,11 +53,6 @@ impl MateRegistry {
         self.map.get(&(machine, job)).copied()
     }
 
-    /// Number of registered pairs.
-    pub fn pair_count(&self) -> usize {
-        self.map.len() / 2
-    }
-
     /// Iterate over all pairs once (machine-0-first orientation not
     /// guaranteed; each pair appears exactly once, keyed by its
     /// lexicographically smaller endpoint).
@@ -97,7 +92,7 @@ mod tests {
     fn builds_from_traces() {
         let (a, b) = paired_traces();
         let reg = MateRegistry::from_traces(&a, &b);
-        assert_eq!(reg.pair_count(), 1);
+        assert_eq!(reg.pairs().count(), 1);
         let mate = reg.mate_of(MachineId(0), JobId(1)).unwrap();
         assert_eq!(
             mate,
@@ -133,7 +128,7 @@ mod tests {
     fn insert_pair_is_bidirectional() {
         let mut reg = MateRegistry::new();
         reg.insert_pair((MachineId(0), JobId(7)), (MachineId(1), JobId(9)));
-        assert_eq!(reg.pair_count(), 1);
+        assert_eq!(reg.pairs().count(), 1);
         assert_eq!(
             reg.mate_of(MachineId(1), JobId(9)),
             Some(MateRef {
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn empty_registry() {
         let reg = MateRegistry::new();
-        assert_eq!(reg.pair_count(), 0);
+        assert_eq!(reg.pairs().count(), 0);
         assert_eq!(reg.mate_of(MachineId(0), JobId(1)), None);
     }
 }

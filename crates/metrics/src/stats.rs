@@ -51,17 +51,6 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
 }
 
-/// Mean ± sample-stddev confidence half-width at ~95 % (1.96 standard
-/// errors). Returns `(mean, half_width)`; half-width 0 with < 2 points.
-pub fn mean_ci95(xs: &[f64]) -> (f64, f64) {
-    let m = mean(xs);
-    if xs.len() < 2 {
-        return (m, 0.0);
-    }
-    let se = stddev(xs) / (xs.len() as f64).sqrt();
-    (m, 1.96 * se)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,15 +126,5 @@ mod tests {
     #[should_panic(expected = "outside [0,1]")]
     fn quantile_rejects_bad_q() {
         quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn ci95_shrinks_with_n() {
-        let few: Vec<f64> = (0..4).map(|i| i as f64).collect();
-        let many: Vec<f64> = (0..400).map(|i| (i % 4) as f64).collect();
-        let (_, hw_few) = mean_ci95(&few);
-        let (_, hw_many) = mean_ci95(&many);
-        assert!(hw_many < hw_few);
-        assert_eq!(mean_ci95(&[1.0]).1, 0.0);
     }
 }

@@ -61,12 +61,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Append a row of display-able cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings);
-    }
-
     /// Number of data rows so far.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -164,13 +158,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(&["only-one".to_string()]);
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.row_display(&[&42, &"x"]);
-        assert!(t.render().contains("| 42 |"));
     }
 
     #[test]

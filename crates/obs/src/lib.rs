@@ -10,7 +10,7 @@
 //!   zero-sized type whose `active()` is a compile-time constant `false`,
 //!   so event construction is skipped entirely (static dispatch, no
 //!   branches survive inlining). Sinks include JSONL writers and an
-//!   in-memory ring buffer; written traces read back through
+//!   in-memory vector; written traces read back through
 //!   [`reader::TraceReader`], which pins parse failures to their line.
 //! * **Metrics** ([`metrics`]) — a tiny registry of named counters and
 //!   log₂-bucketed histograms with snapshot types that serialize into
@@ -44,9 +44,7 @@ pub use alert::{default_rules, ActiveAlert, AlertEngine, AlertOp, AlertRule};
 pub use lifecycle::{JobLifecycle, LifecycleError, LifecycleSet, Rendezvous};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{MachineTelemetry, StreamingMonitor, TelemetrySnapshot};
-pub use observe::{
-    JsonlSink, NoopObserver, Observer, RingSink, Sink, SinkObserver, TeeObserver, VecSink,
-};
+pub use observe::{JsonlSink, NoopObserver, Observer, Sink, SinkObserver, TeeObserver, VecSink};
 pub use profile::{Phase, PhaseProfiler, PhaseSnapshot};
 pub use reader::{
     read_trace_file, read_trace_str, write_trace_string, TraceReadError, TraceReader,

@@ -5,10 +5,9 @@
 //! a constant the optimizer folds away together with the event-building
 //! closure passed to [`Observer::emit_with`] — disabled tracing costs
 //! nothing. A [`SinkObserver`] forwards records to a [`Sink`]: a JSONL
-//! stream, an in-memory ring buffer, or any boxed combination.
+//! stream, an in-memory vector, or any boxed combination.
 
 use crate::trace::{TraceEvent, TraceRecord};
-use std::collections::VecDeque;
 use std::io::Write;
 
 /// Consumer of trace events. Implementations must be *pure consumers*:
@@ -201,53 +200,6 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// Bounded in-memory sink keeping the most recent `capacity` records.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    records: VecDeque<TraceRecord>,
-    capacity: usize,
-    total: u64,
-}
-
-impl RingSink {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring buffer capacity must be positive");
-        RingSink {
-            records: VecDeque::with_capacity(capacity),
-            capacity,
-            total: 0,
-        }
-    }
-
-    /// Records currently retained (oldest first).
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Total records ever accepted, including evicted ones.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-impl Sink for RingSink {
-    fn accept(&mut self, record: &TraceRecord) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-        }
-        self.records.push_back(record.clone());
-        self.total += 1;
-    }
-}
-
 /// Unbounded in-memory sink (tests and small runs).
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
@@ -290,68 +242,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_evicts_oldest() {
-        let mut sink = RingSink::new(2);
-        for seq in 0..5 {
-            sink.accept(&TraceRecord {
-                time: seq,
-                machine: 0,
-                event: sample(seq),
-            });
-        }
-        assert_eq!(sink.total(), 5);
-        assert_eq!(sink.len(), 2);
-        let times: Vec<u64> = sink.records().map(|r| r.time).collect();
-        assert_eq!(times, vec![3, 4]);
-    }
-
-    #[test]
     fn tee_forwards_to_both() {
         let mut tee = TeeObserver::new(
             SinkObserver::new(VecSink::default()),
-            SinkObserver::new(RingSink::new(8)),
+            SinkObserver::new(VecSink::default()),
         );
         assert!(tee.active());
         tee.emit_with(1, 0, || sample(9));
         assert_eq!(tee.first.sink().records.len(), 1);
-        assert_eq!(tee.second.sink().total(), 1);
-    }
-
-    #[test]
-    fn ring_sink_wraps_many_times_and_keeps_totals_exact() {
-        // A long run through a small ring: `total()` keeps the true event
-        // count while `len()` stays pinned at capacity, and the retained
-        // window is exactly the trailing `capacity` records in order.
-        let mut sink = RingSink::new(3);
-        let n = 1_000u64;
-        for seq in 0..n {
-            sink.accept(&TraceRecord {
-                time: seq,
-                machine: (seq % 2) as usize,
-                event: sample(seq),
-            });
-        }
-        assert_eq!(sink.total(), n);
-        assert_eq!(sink.len(), 3);
-        assert!(!sink.is_empty());
-        let times: Vec<u64> = sink.records().map(|r| r.time).collect();
-        assert_eq!(times, vec![n - 3, n - 2, n - 1]);
-    }
-
-    #[test]
-    fn ring_sink_below_capacity_keeps_everything() {
-        let mut sink = RingSink::new(10);
-        for seq in 0..4 {
-            sink.accept(&TraceRecord {
-                time: seq,
-                machine: 0,
-                event: sample(seq),
-            });
-        }
-        assert_eq!(sink.total(), 4);
-        assert_eq!(sink.len(), 4);
-        let times: Vec<u64> = sink.records().map(|r| r.time).collect();
-        assert_eq!(times, vec![0, 1, 2, 3]);
+        assert_eq!(tee.second.sink().records.len(), 1);
     }
 
     /// An observer that logs every call so tee ordering is directly

@@ -68,21 +68,9 @@ where
     }
 }
 
-/// A transport that calls a local [`DomainService`] directly — zero-copy
-/// loopback used by the coupled simulator, where both "domains" live in one
-/// process but still speak the protocol vocabulary.
-pub struct Loopback<S: DomainService>(pub S);
-
-impl<S: DomainService> Transport for Loopback<S> {
-    fn call(&mut self, req: &Request) -> Result<Response, ProtoError> {
-        Ok(self.0.handle(req.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MateStatus;
 
     #[test]
     fn closure_is_a_service() {
@@ -97,13 +85,6 @@ mod tests {
             }),
             Response::Error(_)
         ));
-    }
-
-    #[test]
-    fn loopback_roundtrips() {
-        let mut t = Loopback(|_req: Request| Response::MateStatus(MateStatus::Queuing));
-        let resp = t.call(&Request::Ping).unwrap();
-        assert_eq!(resp.status(), MateStatus::Queuing);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   clusters and a [`alloc::BuddyAllocator`] modelling Blue Gene/P
 //!   partition allocation (power-of-two midplane blocks, with the
 //!   fragmentation behaviour that makes holding nodes expensive);
-//! * [`policy`] — queue-ordering policies: FCFS, WFP (the utility function
-//!   used on Intrepid: `(wait/walltime)³ × size`), and SJF for ablations;
+//! * [`policy`] — queue-ordering policies: FCFS and WFP (the utility
+//!   function used on Intrepid: `(wait/walltime)³ × size`);
 //! * [`backfill`] — EASY backfilling: shadow-time/spare-node computation for
-//!   the head-job reservation;
+//!   the head-job reservation, planned on the users' requested walltimes;
 //! * [`machine`] — the resource manager itself: queueing, scheduling
 //!   iterations producing *ready* candidates, job lifecycle, and the
 //!   hold/yield bookkeeping the coscheduling layer drives.
@@ -26,9 +26,7 @@ pub mod alloc;
 pub mod backfill;
 pub mod machine;
 pub mod policy;
-pub mod predict;
 
 pub use alloc::{AllocHandle, AllocatorKind, NodeAllocator};
 pub use machine::{Candidate, JobStatus, Machine, MachineConfig, SchedStats};
 pub use policy::PolicyKind;
-pub use predict::{PredictorKind, WalltimePredictor};

@@ -34,10 +34,9 @@
 use crate::alloc::{AllocHandle, AllocatorKind, NodeAllocator};
 use crate::backfill::{compute_shadow_sorted, ProjectedRelease, Shadow};
 use crate::policy::{sort_keys, OrderKey, PolicyKind};
-use crate::predict::{PredictorKind, WalltimePredictor};
 use cosched_metrics::JobRecord;
 use cosched_obs::trace::{AllocFailReason, TraceEvent};
-use cosched_sim::{IdHashMap, SimDuration, SimTime};
+use cosched_sim::{IdHashMap, SimTime};
 use cosched_workload::{Job, JobId, MachineId};
 use serde::{Deserialize, Serialize};
 
@@ -58,9 +57,6 @@ pub struct MachineConfig {
     pub backfill: bool,
     /// Additive priority per yield (the §IV-E2 boost enhancement; 0 = off).
     pub yield_priority_boost: f64,
-    /// Walltime predictor used for backfill planning (the paper's
-    /// reference 31, Tsafrir et al.).
-    pub predictor: PredictorKind,
 }
 
 impl MachineConfig {
@@ -75,7 +71,6 @@ impl MachineConfig {
             policy: PolicyKind::Wfp,
             backfill: true,
             yield_priority_boost: 0.0,
-            predictor: PredictorKind::UserEstimate,
         }
     }
 
@@ -90,7 +85,6 @@ impl MachineConfig {
             policy: PolicyKind::Wfp,
             backfill: true,
             yield_priority_boost: 0.0,
-            predictor: PredictorKind::UserEstimate,
         }
     }
 
@@ -104,7 +98,6 @@ impl MachineConfig {
             policy: PolicyKind::Fcfs,
             backfill: true,
             yield_priority_boost: 0.0,
-            predictor: PredictorKind::UserEstimate,
         }
     }
 }
@@ -173,13 +166,10 @@ fn instant(t: SimTime) -> Option<SimTime> {
 
 #[derive(Debug)]
 struct JobState {
-    job: Job,
-    /// Planning-time runtime estimate: the predictor's output at submit,
-    /// fixed for the job's life. A job always runs its true runtime;
-    /// planning optimism is acceptable, as in real predictive backfilling.
     /// A running job is filed in the machine's sorted release list under
-    /// `start + planned`.
-    planned: SimDuration,
+    /// `start + job.walltime`: EASY plans by the requested walltime, and
+    /// the job runs its true runtime.
+    job: Job,
     yields: u32,
     holds: u32,
     alloc: Option<AllocHandle>,
@@ -231,7 +221,7 @@ impl JobState {
     fn mark_running(&mut self, now: SimTime) -> SimTime {
         self.start_at = now;
         self.status = JobStatus::Running;
-        now + self.planned
+        now + self.job.walltime
     }
 }
 
@@ -300,7 +290,6 @@ pub struct Machine {
     records_taken: usize,
     pending: Option<Slot>,
     held_ledger: u64,
-    predictor: Box<dyn WalltimePredictor>,
     /// Projected releases of running jobs, kept sorted by `(end, nodes)`:
     /// inserted when a job starts, removed when it finishes, walked in
     /// place by [`Machine::shadow_for`] instead of rebuilding and sorting
@@ -339,7 +328,6 @@ impl Machine {
     /// Instantiate from a config.
     pub fn new(config: MachineConfig) -> Self {
         let allocator = config.allocator.build(config.capacity);
-        let predictor = config.predictor.build();
         Machine {
             config,
             allocator,
@@ -355,7 +343,6 @@ impl Machine {
             records_taken: 0,
             pending: None,
             held_ledger: 0,
-            predictor,
             releases: Vec::new(),
             shadow_scratch: Vec::new(),
             iter_order: Vec::new(),
@@ -439,7 +426,6 @@ impl Machine {
         let prev = self.entries.insert(id, Entry::Live(slot));
         assert!(prev.is_none(), "duplicate submission of job {id}");
         let state = JobState {
-            planned: self.predictor.predict(&job),
             charged: self.allocator.charged_nodes(job.size),
             job,
             yields: 0,
@@ -504,7 +490,7 @@ impl Machine {
             if st.status != JobStatus::Queued {
                 continue;
             }
-            let (id, size, need, planned) = (st.job.id, st.job.size, st.charged, st.planned);
+            let (id, size, need, walltime) = (st.job.id, st.job.size, st.charged, st.job.walltime);
             debug_assert!(
                 need <= free || !self.allocator.can_fit(size),
                 "can_fit({size}) with a charge of {need} over {free} free nodes"
@@ -512,7 +498,7 @@ impl Machine {
             let fits = need <= free && self.allocator.can_fit(size);
             let admitted = match self.iter_shadow {
                 None => fits,
-                Some(s) => fits && self.config.backfill && s.admits(need, now + planned),
+                Some(s) => fits && self.config.backfill && s.admits(need, now + walltime),
             };
             if admitted {
                 let via_backfill = self.iter_shadow.is_some();
@@ -583,7 +569,7 @@ impl Machine {
     /// The head job's reservation; `charged` is its allocator charge.
     fn shadow_for(&mut self, head_id: JobId, charged: u64, now: SimTime) -> Shadow {
         let free = self.allocator.free_nodes();
-        // Plan against the predicted runtimes in `self.releases`, never
+        // Plan against the requested walltimes in `self.releases`, never
         // shorter than what a job has already consumed plus a beat.
         let clamp = now + cosched_sim::SECOND;
         if charged <= free {
@@ -661,7 +647,7 @@ impl Machine {
     }
 
     /// File a release projection for a job that just started: estimated end
-    /// (start + planned runtime) and the nodes it will return, inserted at
+    /// (start + requested walltime) and the nodes it will return, inserted at
     /// its `(end, nodes)` rank so the list stays sorted.
     fn insert_release(&mut self, job: JobId, end: SimTime, nodes: u64) {
         let pos = self
@@ -829,7 +815,7 @@ impl Machine {
         if st.status != JobStatus::Queued {
             return None;
         }
-        let (size, need, planned) = (st.job.size, st.charged, st.planned);
+        let (size, need, walltime) = (st.job.size, st.charged, st.job.walltime);
         if !self.allocator.can_fit(size) {
             return None;
         }
@@ -859,7 +845,7 @@ impl Machine {
                 // Head is blocked: honour its reservation like any
                 // backfill candidate.
                 let shadow = self.shadow_for(head_id, head_need, now);
-                if !shadow.admits(need, now + planned) {
+                if !shadow.admits(need, now + walltime) {
                     return None;
                 }
                 self.allocator.alloc(size).expect("can_fit implies alloc")
@@ -893,9 +879,8 @@ impl Machine {
         self.allocator.release(handle);
         st.status = JobStatus::Finished;
         let start = st.start().expect("running implies started");
-        let projected = start + st.planned;
+        let projected = start + st.job.walltime;
         let nodes = st.charged;
-        self.predictor.observe(&st.job, st.job.runtime);
         self.finished.push(JobRecord {
             id,
             machine: self.config.machine,
@@ -998,11 +983,6 @@ impl Machine {
         self.held_nodes
     }
 
-    /// Fraction of capacity currently blocked by holds, in `[0, 1]`.
-    pub fn held_fraction(&self) -> f64 {
-        self.held_nodes() as f64 / self.config.capacity as f64
-    }
-
     /// Total node-seconds lost to holding up to `now`, including holds still
     /// in progress — the paper's *service-unit loss* numerator.
     pub fn held_node_seconds(&self, now: SimTime) -> u64 {
@@ -1037,6 +1017,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosched_sim::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -1061,8 +1042,8 @@ mod tests {
     fn job_state_stays_compact() {
         // Every live job's state is touched on the hot path; the
         // untagged instants and the niche-packed allocation handle keep it
-        // at 144 bytes on 64-bit targets.
-        assert!(std::mem::size_of::<JobState>() <= 144);
+        // at 136 bytes on 64-bit targets.
+        assert!(std::mem::size_of::<JobState>() <= 136);
     }
 
     /// Submit, pick, start and finish `id` in one iteration at `at`.
@@ -1200,6 +1181,37 @@ mod tests {
         assert_eq!(c.job_id, JobId(3), "short small job backfills");
         let _ = m.start(c, t(20));
         assert!(m.pick_next(t(20)).is_none());
+    }
+
+    /// EASY plans by the requested walltime, never by the runtime: both
+    /// the running job's projected release and the candidate's end come
+    /// from `walltime`, while each job still runs only its `runtime`.
+    #[test]
+    fn backfill_plans_by_requested_walltime() {
+        // The candidate (20 nodes, runtime 400) exceeds the head's spare
+        // nodes, so it backfills only if it ends by the shadow time.
+        let pick = |candidate_walltime: u64| {
+            let mut m = machine(100);
+            // 80 nodes, runtime 100 but walltime 1000: planned to release
+            // at t=1000, so the head (90 nodes) has shadow t=1000, spare 10.
+            m.submit(job(1, 0, 80, 100, 1_000), t(0));
+            m.begin_iteration();
+            let c = m.pick_next(t(0)).unwrap();
+            assert_eq!(m.start(c, t(0)), t(100), "the job runs its runtime");
+            m.submit(job(2, 10, 90, 500, 500), t(10));
+            m.submit(job(3, 20, 20, 400, candidate_walltime), t(20));
+            m.begin_iteration();
+            let picked = m.pick_next(t(20));
+            let direct = picked.is_none() && m.try_start_direct(JobId(3), t(20)).is_some();
+            (picked.map(|c| (c.job_id, c.via_backfill)), direct)
+        };
+        // Ends at 420 by runtime but 1220 by walltime: refused, by the
+        // iteration and by a direct start alike.
+        assert_eq!(pick(1_200), (None, false));
+        // Ends at 920 by walltime: admitted through the backfill window. A
+        // planner reading job 1's runtime would put the shadow at t=100
+        // and refuse it.
+        assert_eq!(pick(900), (Some((JobId(3), true)), false));
     }
 
     #[test]
@@ -1422,7 +1434,6 @@ mod tests {
             policy: PolicyKind::Fcfs,
             backfill: true,
             yield_priority_boost: 0.0,
-            predictor: PredictorKind::UserEstimate,
         });
         // 600-node job charges a 1024-node partition.
         m.submit(job(1, 0, 600, 100, 100), t(0));
@@ -1454,16 +1465,6 @@ mod tests {
         let c = m.pick_next(t(500)).unwrap();
         assert_eq!(c.job_id, JobId(2), "same relative wait → size wins");
         let _ = m.start(c, t(500));
-    }
-
-    #[test]
-    fn held_fraction_tracks_capacity_share() {
-        let mut m = machine(100);
-        m.submit(job(1, 0, 25, 100, 100), t(0));
-        m.begin_iteration();
-        let c = m.pick_next(t(0)).unwrap();
-        m.hold(c, t(0));
-        assert!((m.held_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! The production machines in the paper run **WFP** plus backfilling; the
 //! paper also names **FCFS** as the common alternative whose
 //! priority-increases-with-time property guarantees yield-yield liveness
-//! (§IV-D2). SJF is included for ablation studies.
+//! (§IV-D2). Both scores grow with waiting time, so under either policy
+//! every job eventually reaches the head of its queue.
 //!
 //! A policy maps a queued job's observable state to a score; the scheduler
 //! considers jobs in descending score order. Ties break by submission order
 //! (then id), keeping iterations deterministic.
 
-use cosched_sim::{SimDuration, SimTime};
+use cosched_sim::SimTime;
 use cosched_workload::{Job, JobId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -23,8 +24,6 @@ pub enum PolicyKind {
     /// Favours jobs that have waited long relative to their requested
     /// walltime, weighted toward bigger jobs.
     Wfp,
-    /// Shortest job first (by requested walltime); ablation baseline.
-    Sjf,
 }
 
 /// Observable state the policy scores.
@@ -50,24 +49,8 @@ impl PolicyKind {
                 let r = wait / walltime;
                 r * r * r * view.job.size as f64
             }
-            PolicyKind::Sjf => {
-                // Shorter walltime → larger score.
-                1.0 / view.job.walltime.as_secs().max(1) as f64
-            }
         };
         base + view.boost
-    }
-
-    /// Whether the policy's score is strictly increasing in waiting time for
-    /// every job. Policies with this property guarantee that yield-yield
-    /// coscheduling cannot starve (§IV-D2: jobs "will eventually get the
-    /// highest priority on their respective machine if job priority
-    /// increases by time").
-    pub fn priority_grows_with_wait(self) -> bool {
-        match self {
-            PolicyKind::Fcfs | PolicyKind::Wfp => true,
-            PolicyKind::Sjf => false,
-        }
     }
 }
 
@@ -160,16 +143,10 @@ pub fn order_queue(
     keys.iter().map(|k| k.slot as usize).collect()
 }
 
-/// Convenience: a policy-scored wait of `wait` seconds for a job of
-/// `walltime` and `size` under WFP, used in tests and docs.
-pub fn wfp_score(wait: SimDuration, walltime: SimDuration, size: u64) -> f64 {
-    let r = wait.as_secs() as f64 / walltime.as_secs().max(1) as f64;
-    r * r * r * size as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosched_sim::SimDuration;
     use cosched_workload::{JobId, MachineId};
 
     fn job(id: u64, submit: u64, size: u64, walltime: u64) -> Job {
@@ -217,21 +194,13 @@ mod tests {
 
     #[test]
     fn wfp_score_matches_formula() {
-        let s = wfp_score(
-            SimDuration::from_secs(1_800),
-            SimDuration::from_secs(3_600),
-            1_024,
-        );
+        let j = job(1, 0, 1_024, 3_600);
+        let s = PolicyKind::Wfp.score(QueuedView {
+            job: &j,
+            now: SimTime::from_secs(1_800),
+            boost: 0.0,
+        });
         assert!((s - 0.125 * 1_024.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sjf_prefers_short_walltime() {
-        let short = job(1, 0, 1, 60);
-        let long = job(2, 0, 1, 6_000);
-        let jobs = [(&long, 0.0), (&short, 0.0)];
-        let order = order_queue(PolicyKind::Sjf, SimTime::from_secs(10), &jobs, &|_| false);
-        assert_eq!(order, vec![1, 0]);
     }
 
     #[test]
@@ -281,7 +250,7 @@ mod tests {
         let views: Vec<(&Job, f64)> = jobs_owned.iter().map(|j| (j, 0.0)).collect();
         let now = SimTime::from_secs(2_000);
         let demoted = |j: &Job| j.id.0.is_multiple_of(5);
-        for policy in [PolicyKind::Fcfs, PolicyKind::Wfp, PolicyKind::Sjf] {
+        for policy in [PolicyKind::Fcfs, PolicyKind::Wfp] {
             let order = order_queue(policy, now, &views, &demoted);
             // Total order ⇒ the permutation is unique ⇒ stable and unstable
             // sorts agree. Verify antisymmetry + totality pairwise against
@@ -355,12 +324,5 @@ mod tests {
             assert_eq!(persisted, scratch, "at {now}");
             assert_eq!(reversed, scratch, "at {now}");
         }
-    }
-
-    #[test]
-    fn growth_property_flags() {
-        assert!(PolicyKind::Fcfs.priority_grows_with_wait());
-        assert!(PolicyKind::Wfp.priority_grows_with_wait());
-        assert!(!PolicyKind::Sjf.priority_grows_with_wait());
     }
 }

@@ -3,9 +3,8 @@
 //! Implemented from first principles on top of [`SimRng`] (inverse-transform
 //! and Box–Muller sampling) so the workspace does not need `rand_distr`.
 //! These are the distributions classically used for parallel-job workload
-//! models: exponential/hyper-exponential interarrivals, log-normal runtimes
-//! (Feitelson-style), Weibull for heavy-ish tails, and an empirical discrete
-//! histogram for job sizes.
+//! models: exponential interarrivals, log-normal runtimes (Feitelson-style)
+//! and an empirical discrete histogram for job sizes.
 
 use crate::rng::SimRng;
 
@@ -89,63 +88,6 @@ impl Distribution for LogNormal {
     }
     fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-}
-
-/// Weibull distribution with the given `shape` (k) and `scale` (lambda).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// # Panics
-    /// Panics unless both parameters are finite and positive.
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(
-            shape.is_finite() && shape > 0.0 && scale.is_finite() && scale > 0.0,
-            "bad Weibull parameters k={shape} lambda={scale}"
-        );
-        Weibull { shape, scale }
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.scale * (-rng.uniform_pos().ln()).powf(1.0 / self.shape)
-    }
-    fn mean(&self) -> f64 {
-        self.scale * gamma(1.0 + 1.0 / self.shape)
-    }
-}
-
-/// Lanczos approximation of the Gamma function, needed for the Weibull mean.
-/// Accurate to ~1e-13 over the range used here (arguments in (1, 3]).
-fn gamma(x: f64) -> f64 {
-    // g = 7, n = 9 Lanczos coefficients.
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEF[0];
-        let t = x + 7.5;
-        for (i, &c) in COEF.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
     }
 }
 
@@ -270,29 +212,6 @@ mod tests {
         assert!((d.mean() - 3600.0).abs() < 1e-6);
         let m = sample_mean(&d, 4, 400_000);
         assert!((m - 3600.0).abs() / 3600.0 < 0.10, "mean {m}"); // cv=2 is noisy
-    }
-
-    #[test]
-    fn weibull_mean_matches_analytic() {
-        let d = Weibull::new(1.5, 100.0);
-        let m = sample_mean(&d, 5, 200_000);
-        let expect = d.mean();
-        assert!((m - expect).abs() / expect < 0.02, "mean {m} vs {expect}");
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let w = Weibull::new(1.0, 50.0);
-        assert!((w.mean() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(3.0) - 2.0).abs() < 1e-9);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-        assert!((gamma(1.5) - 0.5 * std::f64::consts::PI.sqrt()).abs() < 1e-9);
     }
 
     #[test]

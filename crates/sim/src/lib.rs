@@ -11,7 +11,7 @@
 //!   hashed with a deterministic multiply hasher instead of SipHash,
 //! * [`rng`] — seedable, reproducible random-number plumbing,
 //! * [`dist`] — the statistical distributions used by the workload
-//!   generators (exponential, log-normal, Weibull, discrete histogram).
+//!   generators (exponential, log-normal, discrete histogram).
 //!
 //! Everything here is deterministic: running the same simulation twice with
 //! the same seed produces byte-identical event sequences. That property is

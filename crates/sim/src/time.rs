@@ -59,12 +59,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference; `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Absolute distance between two instants.
     #[inline]
     pub fn abs_diff(self, other: SimTime) -> SimDuration {
@@ -112,12 +106,6 @@ impl SimDuration {
     #[inline]
     pub fn as_mins_f64(self) -> f64 {
         self.0 as f64 / 60.0
-    }
-
-    /// Length in fractional hours.
-    #[inline]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3_600.0
     }
 
     /// Scale by a non-negative factor, rounding to the nearest second.
@@ -259,8 +247,6 @@ mod tests {
         let late = SimTime::from_secs(50);
         assert_eq!(early - late, SimDuration::ZERO);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration(40)));
     }
 
     #[test]
@@ -303,7 +289,6 @@ mod tests {
     #[test]
     fn fractional_views() {
         assert_eq!(SimDuration::from_secs(90).as_mins_f64(), 1.5);
-        assert_eq!(SimDuration::from_secs(5400).as_hours_f64(), 1.5);
     }
 
     #[test]

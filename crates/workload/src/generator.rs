@@ -21,29 +21,10 @@
 
 use crate::job::{Job, JobId, MachineId};
 use crate::trace::Trace;
-use cosched_sim::dist::{sample_clamped_u64, DiscreteWeighted, Distribution, LogNormal};
+use cosched_sim::dist::{
+    sample_clamped_u64, DiscreteWeighted, Distribution, Exponential, LogNormal,
+};
 use cosched_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
-
-/// Arrival-process shape.
-///
-/// Production traces are not time-homogeneous: submissions peak during
-/// working hours. The paper's half-synthetic construction deliberately
-/// preserves "the shape of job arrival distribution"; the diurnal option
-/// lets experiments check that the coscheduling results are not an artifact
-/// of flat Poisson arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ArrivalPattern {
-    /// Time-homogeneous Poisson process.
-    Poisson,
-    /// Poisson process with a sinusoidal daily rate modulation:
-    /// `rate(t) = base × (1 + amplitude × sin(2πt/day))`, thinned from the
-    /// peak rate. `amplitude` in `[0, 1)`; 0 degenerates to Poisson.
-    Diurnal {
-        /// Relative swing of the daily rate, `0.0 ≤ amplitude < 1.0`.
-        amplitude: f64,
-    },
-}
 
 /// Statistical description of one machine's workload.
 #[derive(Debug, Clone)]
@@ -146,7 +127,6 @@ pub struct TraceGenerator {
     span: SimDuration,
     target_utilization: Option<f64>,
     job_count: Option<usize>,
-    arrivals: ArrivalPattern,
 }
 
 impl TraceGenerator {
@@ -159,28 +139,7 @@ impl TraceGenerator {
             span: SimDuration::from_days(30),
             target_utilization: Some(0.5),
             job_count: None,
-            arrivals: ArrivalPattern::Poisson,
         }
-    }
-
-    /// Select the arrival-process shape (default: homogeneous Poisson).
-    /// A diurnal pattern with amplitude 0 is normalised to plain Poisson.
-    pub fn arrivals(mut self, pattern: ArrivalPattern) -> Self {
-        self.arrivals = match pattern {
-            ArrivalPattern::Diurnal { amplitude } => {
-                assert!(
-                    (0.0..1.0).contains(&amplitude),
-                    "diurnal amplitude {amplitude} outside [0,1)"
-                );
-                if amplitude == 0.0 {
-                    ArrivalPattern::Poisson
-                } else {
-                    pattern
-                }
-            }
-            ArrivalPattern::Poisson => pattern,
-        };
-        self
     }
 
     /// Set the submission span.
@@ -190,10 +149,8 @@ impl TraceGenerator {
         self
     }
 
-    /// Target offered utilization; with Poisson arrivals the generated
-    /// trace is post-scaled to hit it within 0.5 %, with diurnal arrivals
-    /// the rate is corrected by regeneration (approximate, within a few
-    /// per cent).
+    /// Target offered utilization; the generated trace's arrival intervals
+    /// are post-scaled to hit it within 0.5 %.
     pub fn target_utilization(mut self, u: f64) -> Self {
         assert!(u > 0.0 && u <= 1.5, "unreasonable utilization target {u}");
         self.target_utilization = Some(u);
@@ -218,87 +175,44 @@ impl TraceGenerator {
 
     /// Synthesise the trace. Deterministic in `rng`.
     pub fn generate(&self, rng: &mut SimRng) -> Trace {
-        let mut trace = self.generate_once(1.0, rng);
-        if let Some(u) = self.target_utilization {
-            if trace.len() >= 2 {
-                match self.arrivals {
-                    // Homogeneous arrivals: the paper's interval scaling.
-                    ArrivalPattern::Poisson => {
-                        trace.scale_to_utilization(self.model.nodes, u);
-                    }
-                    // Diurnal arrivals: interval scaling would stretch the
-                    // 24-hour period, smearing the daily phase. Correct the
-                    // arrival rate and regenerate instead.
-                    ArrivalPattern::Diurnal { .. } => {
-                        let mut rate = 1.0;
-                        for _ in 0..4 {
-                            let got = trace.offered_utilization(self.model.nodes);
-                            if (got - u).abs() / u < 0.02 {
-                                break;
-                            }
-                            rate *= (got / u).clamp(0.1, 10.0);
-                            trace = self.generate_once(rate, rng);
-                        }
-                    }
-                }
-            }
-        }
-        trace
-    }
-
-    /// One generation pass at `rate_factor ×` the utilization-derived mean
-    /// interarrival (no post-correction).
-    fn generate_once(&self, rate_factor: f64, rng: &mut SimRng) -> Trace {
         // Arrival instants. With a fixed job count we draw exactly n uniform
         // points over the span (the order statistics of a Poisson process
         // conditioned on its count — still "Poisson-shaped", but the count
         // is exact, which §V-E's same-count construction requires).
-        // Otherwise, a (possibly rate-modulated) Poisson process at the
-        // utilization-derived rate.
-        let submits: Vec<u64> = match (self.job_count, self.target_utilization) {
-            (Some(n), _) => {
+        // Otherwise, a Poisson process at the utilization-derived rate.
+        let submits: Vec<u64> = match self.job_count {
+            Some(n) => {
                 let mut s: Vec<u64> = (0..n)
                     .map(|_| (rng.uniform() * self.span.as_secs() as f64).round() as u64)
                     .collect();
                 s.sort_unstable();
                 s
             }
-            (None, target) => {
-                let u = target.unwrap_or(0.5);
-                let base = self.model.interarrival_for_utilization(u).max(1.0);
-                self.arrival_instants(base * rate_factor, rng)
+            None => {
+                let u = self.target_utilization.unwrap_or(0.5);
+                let mean = self.model.interarrival_for_utilization(u).max(1.0);
+                let interarrival = Exponential::new(mean);
+                let mut s = Vec::new();
+                let mut clock = 0.0_f64;
+                loop {
+                    clock += interarrival.sample(rng);
+                    let submit = clock.round() as u64;
+                    if submit > self.span.as_secs() {
+                        break;
+                    }
+                    s.push(submit);
+                }
+                s
             }
         };
-        self.build_jobs(submits, rng)
-    }
-
-    /// Draw arrival instants at the given mean interarrival, honouring the
-    /// configured [`ArrivalPattern`] via Lewis–Shedler thinning (exact for
-    /// inhomogeneous Poisson processes; degenerates to the plain process at
-    /// amplitude 0).
-    fn arrival_instants(&self, mean_interarrival: f64, rng: &mut SimRng) -> Vec<u64> {
-        let amplitude = match self.arrivals {
-            ArrivalPattern::Poisson => 0.0,
-            ArrivalPattern::Diurnal { amplitude } => amplitude,
-        };
-        let peak_interarrival = mean_interarrival / (1.0 + amplitude);
-        let interarrival = cosched_sim::dist::Exponential::new(peak_interarrival.max(1.0));
-        let day = 86_400.0;
-        let mut s = Vec::new();
-        let mut clock = 0.0_f64;
-        loop {
-            clock += interarrival.sample(rng);
-            let submit = clock.round() as u64;
-            if submit > self.span.as_secs() {
-                break;
-            }
-            let rate_frac =
-                (1.0 + amplitude * (std::f64::consts::TAU * clock / day).sin()) / (1.0 + amplitude);
-            if amplitude == 0.0 || rng.chance(rate_frac) {
-                s.push(submit);
+        let mut trace = self.build_jobs(submits, rng);
+        if let Some(u) = self.target_utilization {
+            if trace.len() >= 2 {
+                // The paper's interval scaling.
+                trace.scale_to_utilization(self.model.nodes, u);
             }
         }
-        s
+        trace
     }
 
     /// Attach sizes, runtimes, and walltimes to arrival instants.
@@ -421,56 +335,6 @@ mod tests {
     fn with_runtime_overrides_distribution() {
         let m = MachineModel::eureka().with_runtime(100.0, 0.1);
         assert!((m.mean_runtime() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn diurnal_arrivals_cycle_daily() {
-        let gen = TraceGenerator::new(MachineModel::eureka(), MachineId(1))
-            .span(SimDuration::from_days(20))
-            .arrivals(ArrivalPattern::Diurnal { amplitude: 0.9 });
-        let trace = gen.generate(&mut rng(20));
-        // Bucket submissions into quarter-days; the peak quarter (around
-        // hour 6, where sin is maximal) must clearly dominate the trough
-        // (around hour 18).
-        let mut quarters = [0usize; 4];
-        for j in trace.jobs() {
-            quarters[((j.submit.as_secs() % 86_400) / 21_600) as usize] += 1;
-        }
-        assert!(
-            quarters[0] > quarters[2] * 2,
-            "expected strong diurnal signal, got {quarters:?}"
-        );
-    }
-
-    #[test]
-    fn diurnal_amplitude_zero_equals_poisson() {
-        let base = TraceGenerator::new(MachineModel::eureka(), MachineId(1))
-            .span(SimDuration::from_days(3));
-        let a = base.clone().generate(&mut rng(21));
-        let b = base
-            .arrivals(ArrivalPattern::Diurnal { amplitude: 0.0 })
-            .generate(&mut rng(21));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0,1)")]
-    fn diurnal_rejects_bad_amplitude() {
-        let _ = TraceGenerator::new(MachineModel::eureka(), MachineId(1))
-            .arrivals(ArrivalPattern::Diurnal { amplitude: 1.0 });
-    }
-
-    #[test]
-    fn diurnal_still_hits_utilization_target() {
-        let gen = TraceGenerator::new(MachineModel::eureka(), MachineId(1))
-            .span(SimDuration::from_days(20))
-            .target_utilization(0.5)
-            .arrivals(ArrivalPattern::Diurnal { amplitude: 0.6 });
-        let trace = gen.generate(&mut rng(22));
-        // Diurnal correction regenerates rather than rescales, so the
-        // target is approximate (sampling noise per regeneration).
-        let got = trace.offered_utilization(100);
-        assert!((got - 0.5).abs() < 0.06, "got {got}");
     }
 
     #[test]

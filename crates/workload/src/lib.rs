@@ -25,6 +25,6 @@ pub mod stats;
 pub mod swf;
 pub mod trace;
 
-pub use generator::{ArrivalPattern, MachineModel, TraceGenerator};
+pub use generator::{MachineModel, TraceGenerator};
 pub use job::{Job, JobId, MachineId, MateRef};
 pub use trace::Trace;

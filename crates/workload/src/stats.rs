@@ -117,22 +117,6 @@ pub fn trace_stats(trace: &Trace) -> TraceStats {
     }
 }
 
-/// Histogram of job sizes with the given bucket edges (left-inclusive;
-/// values ≥ the last edge land in the final bucket).
-pub fn size_histogram(trace: &Trace, edges: &[u64]) -> Vec<usize> {
-    assert!(!edges.is_empty(), "histogram needs at least one edge");
-    assert!(
-        edges.windows(2).all(|w| w[0] < w[1]),
-        "edges must be strictly increasing"
-    );
-    let mut counts = vec![0usize; edges.len()];
-    for j in trace.jobs() {
-        let bucket = edges.iter().rposition(|&e| j.size >= e).unwrap_or(0);
-        counts[bucket] += 1;
-    }
-    counts
-}
-
 /// Offered load per day (node-seconds demanded by jobs submitted that day),
 /// a quick stability check across the trace span.
 pub fn daily_offered_node_seconds(trace: &Trace) -> Vec<u64> {
@@ -257,26 +241,6 @@ mod tests {
         assert_eq!(s.paired_fraction, 0.0);
         // Overestimate: 2.0, 1.0, 2.0 → mean 5/3.
         assert!((s.overestimate.mean - 5.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let t = trace(vec![
-            mk(1, 0, 1, 60, 60),
-            mk(2, 1, 4, 60, 60),
-            mk(3, 2, 16, 60, 60),
-            mk(4, 3, 64, 60, 60),
-            mk(5, 4, 100, 60, 60),
-        ]);
-        // Buckets: [1,8), [8,32), [32,∞)
-        let h = size_histogram(&t, &[1, 8, 32]);
-        assert_eq!(h, vec![2, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_bad_edges() {
-        size_histogram(&trace(vec![mk(1, 0, 1, 60, 60)]), &[8, 8]);
     }
 
     #[test]

@@ -200,20 +200,6 @@ impl Trace {
         self.offered_utilization(capacity)
     }
 
-    /// Shift all submissions so the first job arrives at `origin`.
-    pub fn rebase(&mut self, origin: SimTime) {
-        let Some(first) = self.first_submit() else {
-            return;
-        };
-        if first == origin {
-            return;
-        }
-        for j in &mut self.jobs {
-            let offset = j.submit - first;
-            j.submit = origin + offset;
-        }
-    }
-
     /// Consume into the underlying job vector.
     pub fn into_jobs(self) -> Vec<Job> {
         self.jobs
@@ -327,14 +313,6 @@ mod tests {
         let last = t.last_submit().unwrap().as_secs();
         let exact = (9_999.0_f64 * 100.0 / 3.0).round() as u64;
         assert!(last.abs_diff(exact) <= 1, "last {last} vs exact {exact}");
-    }
-
-    #[test]
-    fn rebase_shifts_all_jobs() {
-        let mut t = trace(vec![mk(1, 500, 1, 10), mk(2, 800, 1, 10)]);
-        t.rebase(SimTime::from_secs(0));
-        let submits: Vec<_> = t.jobs().iter().map(|j| j.submit.as_secs()).collect();
-        assert_eq!(submits, vec![0, 300]);
     }
 
     #[test]

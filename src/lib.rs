@@ -16,7 +16,7 @@
 //! * [`metrics`] — evaluation metrics (wait, slowdown, sync time,
 //!   service-unit loss),
 //! * [`obs`] — the observability layer: structured sim-time trace events,
-//!   sinks (JSONL, ring buffer), a metrics registry, and wall-clock phase
+//!   sinks (JSONL, in-memory), a metrics registry, and wall-clock phase
 //!   profiling, all guaranteed not to perturb simulation outcomes,
 //! * [`trace`] — trace analysis: job-lifecycle reconstruction from JSONL
 //!   event streams, wait-time attribution (local queueing vs.
@@ -45,7 +45,7 @@ pub mod prelude {
     pub use cosched_core::driver::{CoupledSimulation, RunArtifacts, RunStats, SimulationReport};
     pub use cosched_metrics::summary::MachineSummary;
     pub use cosched_obs::{
-        default_rules, AlertRule, JsonlSink, NoopObserver, Observer, RingSink, Sink, SinkObserver,
+        default_rules, AlertRule, JsonlSink, NoopObserver, Observer, Sink, SinkObserver,
         StreamingMonitor, TeeObserver, TelemetrySnapshot, TraceEvent, TraceRecord, VecSink,
     };
     pub use cosched_sched::machine::MachineConfig;

@@ -152,7 +152,8 @@ fn differential_workload() -> [Trace; 2] {
 /// order: at an arrival, `submit` then `pump` on that domain; at a job
 /// end, `complete_due` then `pump` on that domain. Without release
 /// sweeps those are all the events there are, so the two must agree on
-/// every job's start and on the monitored lifecycle counts.
+/// every job's start and on the monitored lifecycle and protocol-call
+/// counts.
 #[test]
 fn live_domains_match_the_simulator_step_for_step() {
     let traces = differential_workload();
@@ -246,6 +247,8 @@ fn live_domains_match_the_simulator_step_for_step() {
                 t.holds_placed,
                 t.yields,
                 t.rendezvous_commits,
+                t.rpc_calls,
+                t.rpc_timeouts,
             ]
         };
         assert_eq!(counts(&l), counts(&s), "{label}: monitored counts");
@@ -255,6 +258,7 @@ fn live_domains_match_the_simulator_step_for_step() {
             "{label}: the job state machine rejected records"
         );
         assert!(s.rendezvous_commits > 0, "{label}: pairs rendezvoused");
+        assert!(s.rpc_calls > 0, "{label}: protocol calls recorded");
     }
 }
 
