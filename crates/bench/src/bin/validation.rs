@@ -5,7 +5,7 @@
 use cosched_bench::figures::{self, case_points};
 use cosched_bench::{sweep, Scale, SweepKind};
 use cosched_core::{CoupledSimulation, SchemeCombo};
-use cosched_obs::{SinkObserver, VecSink};
+use cosched_obs::{PhaseProfiler, SinkObserver, TeeObserver, VecSink};
 use cosched_trace::{AttributionReport, CriticalPathReport, LifecycleSet};
 
 fn main() -> Result<(), String> {
@@ -38,9 +38,12 @@ fn main() -> Result<(), String> {
     );
     // Same run with the release enhancement on, fully traced so the trace
     // analysis layer can attribute wait time afterwards (the report must be
-    // identical to an untraced run).
+    // identical to an untraced run), and profiled by the wall clock.
     let cfg = cosched_core::CoupledConfig::anl(SchemeCombo::HH);
-    let observer = SinkObserver::new(VecSink::default());
+    let observer = TeeObserver::new(
+        SinkObserver::new(VecSink::default()),
+        PhaseProfiler::default(),
+    );
     let arts =
         CoupledSimulation::with_observer(cfg, figures::deadlock_traces(scale.days), observer)
             .run_traced();
@@ -50,7 +53,7 @@ fn main() -> Result<(), String> {
         report.deadlocked, report.unfinished
     );
     println!();
-    let records = &arts.observer.sink().records;
+    let records = &arts.observer.first.sink().records;
     println!(
         "observability: {} trace records, {} rpc calls, {} release sweeps",
         records.len(),
@@ -70,7 +73,7 @@ fn main() -> Result<(), String> {
         Err(e) => eprintln!("critical-path reconstruction failed: {e}"),
     }
     println!("wall-clock profile:");
-    for ph in &arts.profile {
+    for ph in arts.observer.second.snapshot() {
         println!(
             "  {:<22} calls {:>8}  total {:>9}us  mean {:>7}ns  max {:>9}ns",
             ph.phase,
@@ -80,12 +83,5 @@ fn main() -> Result<(), String> {
             ph.max_ns
         );
     }
-    println!(
-        "  {:<22} count {:>8}  mean {:>7.0}ns  max {:>9}ns",
-        "rpc latency",
-        arts.rpc_latency_ns.count,
-        arts.rpc_latency_ns.mean(),
-        arts.rpc_latency_ns.max
-    );
     Ok(())
 }

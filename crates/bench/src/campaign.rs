@@ -34,7 +34,7 @@ use crate::harness::{
     SeedOutcome, SweepPoint, EUREKA_UTILS, PROPORTIONS,
 };
 use cosched_core::{CoupledSimulation, SchemeCombo};
-use cosched_obs::PhaseSnapshot;
+use cosched_obs::{PhaseProfiler, PhaseSnapshot};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -237,8 +237,8 @@ pub struct CampaignReport {
     pub timings: Vec<CampaignTiming>,
     /// Every parallel run's outcomes equalled the serial run's.
     pub deterministic: bool,
-    /// Wall-clock phase profile (scheduler iteration, release sweep, RPC,
-    /// event dispatch) of one representative traced cell — the serial
+    /// Wall-clock phase profile (scheduler iteration, release sweep, RPC)
+    /// of one representative cell run under a `PhaseProfiler` — the serial
     /// hot-path breakdown parallelism cannot hide.
     pub phase_profile: Vec<PhaseSnapshot>,
 }
@@ -343,11 +343,13 @@ pub fn check_campaign(
     Ok(ratio)
 }
 
-/// Wall-clock phase profile of one cell, run traced.
+/// Wall-clock phase profile of one cell, run under the profiler.
 fn phase_profile_of(cell: &CampaignCell) -> Vec<PhaseSnapshot> {
-    CoupledSimulation::new(anl_config(cell.combo), cell.traces())
+    let profiler = PhaseProfiler::default();
+    CoupledSimulation::with_observer(anl_config(cell.combo), cell.traces(), profiler)
         .run_traced()
-        .profile
+        .observer
+        .snapshot()
 }
 
 #[cfg(test)]

@@ -4,14 +4,13 @@ use crate::args::Parsed;
 use cosched_bench::figures::{self, Figure};
 use cosched_bench::{bench_campaign, CampaignReport, Scale, SweepKind};
 use cosched_core::{
-    CoschedConfig, CoupledConfig, CoupledSimulation, RunStats, Scheme, SchemeCombo,
+    CoschedConfig, CoupledConfig, CoupledSimulation, RunArtifacts, RunStats, SchemeCombo,
 };
 use cosched_metrics::table::{num, pct, Table};
-use cosched_obs::metrics::HistogramSnapshot;
 use cosched_obs::monitor::{StreamingMonitor, TelemetrySnapshot};
 use cosched_obs::{
-    default_rules, read_trace_file, AlertRule, JsonlSink, MetricsSnapshot, PhaseSnapshot,
-    SinkObserver, TeeObserver, TraceReader,
+    default_rules, read_trace_file, AlertRule, JsonlSink, MetricsSnapshot, PhaseProfiler,
+    PhaseSnapshot, SinkObserver, TeeObserver, TraceReader,
 };
 use cosched_sched::MachineConfig;
 use cosched_sim::{SimDuration, SimRng};
@@ -791,51 +790,26 @@ fn cmd_simulate(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
         );
     }
 
-    // With --trace-out the run streams JSONL trace records to a file; the
-    // deterministic report is identical either way (observers are pure
-    // consumers), so all branches reduce to the same artifact tuple. When
-    // both a trace sink and a monitor are attached, the sink rides first in
-    // the tee so the primary trace is written byte-for-byte as without
-    // telemetry.
-    let (report, profile, rpc_latency, trace_note) = match (p.get("trace-out"), &telemetry) {
-        (Some(path), Some((monitor, _))) => {
+    // Observers are pure consumers, so the deterministic report is the same
+    // whichever are attached. The JSONL trace sink (--trace-out) rides first
+    // in the tee so the primary trace is written byte-for-byte as without
+    // telemetry; the wall-clock profiler rides only under --metrics, so
+    // without it the run reads no clock.
+    let sink = match p.get("trace-out") {
+        Some(path) => {
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let sink = JsonlSink::new(std::io::BufWriter::new(file));
-            let observer = TeeObserver::new(SinkObserver::new(sink), monitor.clone());
-            let arts = CoupledSimulation::with_observer(config, [a, b], observer).run_traced();
-            let lines = arts.observer.first.sink().lines();
-            (
-                arts.report,
-                arts.profile,
-                arts.rpc_latency_ns,
-                Some((path.to_string(), lines)),
-            )
+            Some(SinkObserver::new(JsonlSink::new(std::io::BufWriter::new(
+                file,
+            ))))
         }
-        (Some(path), None) => {
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let sink = JsonlSink::new(std::io::BufWriter::new(file));
-            let arts = CoupledSimulation::with_observer(config, [a, b], SinkObserver::new(sink))
-                .run_traced();
-            let lines = arts.observer.sink().lines();
-            (
-                arts.report,
-                arts.profile,
-                arts.rpc_latency_ns,
-                Some((path.to_string(), lines)),
-            )
-        }
-        (None, Some((monitor, _))) => {
-            let arts =
-                CoupledSimulation::with_observer(config, [a, b], monitor.clone()).run_traced();
-            (arts.report, arts.profile, arts.rpc_latency_ns, None)
-        }
-        (None, None) => {
-            let arts = CoupledSimulation::new(config, [a, b]).run_traced();
-            (arts.report, arts.profile, arts.rpc_latency_ns, None)
-        }
+        None => None,
     };
+    let monitor = telemetry.as_ref().map(|(monitor, _)| monitor.clone());
+    let profiler = p.flag("metrics").then(PhaseProfiler::default);
+    let observer = TeeObserver::new(TeeObserver::new(sink, monitor), profiler);
+    let RunArtifacts { report, observer } =
+        CoupledSimulation::with_observer(config, [a, b], observer).run_traced();
     if let Some((monitor, server)) = &telemetry {
         monitor.finish(report.deadlocked);
         if linger > 0 {
@@ -882,11 +856,11 @@ fn cmd_simulate(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
         report.max_pair_offset(),
         report.deadlocked
     );
-    if let Some((path, lines)) = &trace_note {
-        let _ = writeln!(out, "trace: {lines} records -> {path}");
+    if let (Some(path), Some(sink)) = (p.get("trace-out"), &observer.first.first) {
+        let _ = writeln!(out, "trace: {} records -> {path}", sink.sink().lines());
     }
-    if p.flag("metrics") {
-        write_metrics(out, &report.metrics, &profile, &rpc_latency);
+    if let Some(profiler) = &observer.second {
+        write_metrics(out, &report.metrics, &profiler.snapshot());
     }
     if let Some(path) = p.get("json") {
         let j = JsonReport {
@@ -911,14 +885,9 @@ fn cmd_simulate(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
 
 /// Render the deterministic metrics registry and the wall-clock profile for
 /// `simulate --metrics`. Counters and sim-time histograms come from the
-/// report (deterministic); phase timings and RPC latency are wall-clock and
-/// clearly labelled as such.
-fn write_metrics(
-    out: &mut dyn Write,
-    metrics: &MetricsSnapshot,
-    profile: &[PhaseSnapshot],
-    rpc_latency: &HistogramSnapshot,
-) {
+/// report (deterministic); phase timings are wall-clock and clearly
+/// labelled as such.
+fn write_metrics(out: &mut dyn Write, metrics: &MetricsSnapshot, profile: &[PhaseSnapshot]) {
     let _ = writeln!(out, "metrics:");
     for c in &metrics.counters {
         let _ = writeln!(out, "  {:<32} {}", c.name, c.value);
@@ -945,24 +914,6 @@ fn write_metrics(
             ph.mean_ns,
             ph.max_ns
         );
-    }
-    let _ = writeln!(
-        out,
-        "  {:<32} count {} mean {:.0}ns max {}ns",
-        rpc_latency.name,
-        rpc_latency.count,
-        rpc_latency.mean(),
-        rpc_latency.max
-    );
-}
-
-/// Helper mapping a scheme letter for error-free config building (used by
-/// tests).
-pub fn scheme_of(letter: char) -> Option<Scheme> {
-    match letter {
-        'H' => Some(Scheme::Hold),
-        'Y' => Some(Scheme::Yield),
-        _ => None,
     }
 }
 
@@ -1347,13 +1298,6 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("missing job"), "{err}");
-    }
-
-    #[test]
-    fn scheme_letter_mapping() {
-        assert_eq!(scheme_of('H'), Some(Scheme::Hold));
-        assert_eq!(scheme_of('Y'), Some(Scheme::Yield));
-        assert_eq!(scheme_of('Z'), None);
     }
 
     #[test]

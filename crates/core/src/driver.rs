@@ -36,17 +36,15 @@ use crate::domain::{Domain, Sweep};
 use crate::nway::{Constraint, Groups, Member};
 use crate::registry::MateRegistry;
 use cosched_metrics::{JobRecord, MachineSummary};
-use cosched_obs::metrics::HistogramSnapshot;
 use cosched_obs::{
-    Histogram, MetricsRegistry, MetricsSnapshot, NoopObserver, Observer, Phase, PhaseProfiler,
-    PhaseSnapshot, SpanKind, TraceEvent, GLOBAL, NO_JOB, NO_SPAN,
+    MetricsRegistry, MetricsSnapshot, NoopObserver, Observer, SpanKind, TraceEvent, GLOBAL, NO_JOB,
+    NO_SPAN,
 };
 use cosched_proto::{MateStatus, ProtoError, Request, Response};
 use cosched_sched::{JobStatus, Machine, MachineConfig, SchedStats};
 use cosched_sim::{EventQueue, IdHashMap, IdHashSet, SimDuration, SimTime};
 use cosched_workload::{Job, JobId, Trace};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Events driving the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,20 +97,13 @@ pub struct RunStats {
     pub rpc_timeouts: u64,
 }
 
-/// Everything a run produces: the deterministic report, the observer (to
-/// read back a sink), and the wall-clock profile kept strictly outside the
-/// report so same-seed runs stay byte-identical.
+/// Everything a run produces: the deterministic report and the observer
+/// (to read back a sink or a wall-clock profiler).
 pub struct RunArtifacts<O> {
     /// The deterministic simulation outcome.
     pub report: SimulationReport,
     /// The observer handed to [`CoupledSimulation::with_observer`].
     pub observer: O,
-    /// Wall-clock phase timings (scheduler iterations, release sweeps,
-    /// RPCs). Never folded into `report`.
-    pub profile: Vec<PhaseSnapshot>,
-    /// Wall-clock latency distribution of in-process protocol calls, in
-    /// nanoseconds. Never folded into `report`.
-    pub rpc_latency_ns: HistogramSnapshot,
 }
 
 /// Outcome of a coupled simulation run.
@@ -195,16 +186,6 @@ struct SpanBook {
     hold: IdHashMap<(usize, u64), u64>,
     /// Open yield-episode spans keyed by (machine, job).
     yielding: IdHashMap<(usize, u64), u64>,
-}
-
-/// Wall-clock instrumentation of a traced run, kept strictly outside the
-/// report so same-seed runs stay byte-identical.
-#[derive(Default)]
-struct Timing {
-    /// Phase timings (scheduler iterations, release sweeps, RPCs).
-    profiler: PhaseProfiler,
-    /// In-process RPC latency.
-    rpc_latency: Histogram,
 }
 
 /// The (job, mate) a span concerns when it concerns none.
@@ -368,9 +349,6 @@ pub(crate) struct Engine<O: Observer> {
     status_timeout: Vec<bool>,
     /// Deterministic run counters (always on).
     stats: RunStats,
-    /// Wall-clock instrumentation: present only under
-    /// [`CoupledSimulation::run_traced`], so every other run reads no clock.
-    timing: Option<Timing>,
     /// Causal-span bookkeeping; empty unless the observer is active.
     spans: SpanBook,
     observer: O,
@@ -425,7 +403,6 @@ impl<O: Observer> Engine<O> {
             peer_started: IdHashMap::default(),
             status_timeout: vec![false; k],
             stats: RunStats::default(),
-            timing: None,
             spans: SpanBook::default(),
             observer,
         }
@@ -495,22 +472,6 @@ impl<O: Observer> Engine<O> {
         false
     }
 
-    /// A wall-clock stamp, taken only while timing is on.
-    fn stamp(&self) -> Option<Instant> {
-        self.timing.as_ref().map(|_| Instant::now())
-    }
-
-    /// Charge the time since `t0` to `phase` (no-op when timing is off).
-    fn record(&mut self, phase: Phase, t0: Option<Instant>) {
-        if let (Some(timing), Some(t0)) = (self.timing.as_mut(), t0) {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            timing.profiler.record(phase, nanos);
-            if phase == Phase::RpcCall {
-                timing.rpc_latency.record(nanos);
-            }
-        }
-    }
-
     /// Run to the end. Each step dispatches the earliest of every machine's
     /// next arrival and the queue's top; ties go to arrivals, in machine
     /// order. That is the `(time, seq)` order of a queue seeded with every
@@ -570,43 +531,38 @@ impl<O: Observer> Engine<O> {
                 self.domains[m].finish(job, now, &mut self.observer);
                 self.iterate(m);
             }
-            Event::ReleaseSweep { m } => {
-                let sweep_t0 = self.stamp();
-                match self.domains[m].sweep(now) {
-                    Sweep::Idle => {}
-                    Sweep::Rearmed(at) => {
-                        self.queue.push(at, Event::ReleaseSweep { m });
-                    }
-                    Sweep::Release => {
-                        let t = now.as_secs();
-                        let sweep_span = self.spans.open(
-                            &mut self.observer,
-                            t,
-                            m,
-                            NO_SPAN,
-                            SpanKind::ReleaseSweep,
-                            NO_SUBJECT,
-                        );
-                        let spans = &mut self.spans;
-                        let released =
-                            self.domains[m].release_holds(now, &mut self.observer, |obs, job| {
-                                spans.close_hold(obs, t, m, job)
-                            });
-                        self.forced_releases += released as u64;
-                        self.stats.release_sweeps += 1;
-                        SpanBook::close(&mut self.observer, t, m, sweep_span);
-                        self.record(Phase::ReleaseSweep, sweep_t0);
-                        self.iterate(m);
-                    }
+            Event::ReleaseSweep { m } => match self.domains[m].sweep(now) {
+                Sweep::Idle => {}
+                Sweep::Rearmed(at) => {
+                    self.queue.push(at, Event::ReleaseSweep { m });
                 }
-            }
+                Sweep::Release => {
+                    let t = now.as_secs();
+                    let sweep_span = self.spans.open(
+                        &mut self.observer,
+                        t,
+                        m,
+                        NO_SPAN,
+                        SpanKind::ReleaseSweep,
+                        NO_SUBJECT,
+                    );
+                    let spans = &mut self.spans;
+                    let released =
+                        self.domains[m].release_holds(now, &mut self.observer, |obs, job| {
+                            spans.close_hold(obs, t, m, job)
+                        });
+                    self.forced_releases += released as u64;
+                    self.stats.release_sweeps += 1;
+                    SpanBook::close(&mut self.observer, t, m, sweep_span);
+                    self.iterate(m);
+                }
+            },
         }
     }
 
     /// One scheduling iteration on machine `m`: drain ready candidates
     /// through the decision — Algorithm 1, or the k-way relations.
     fn iterate(&mut self, m: usize) {
-        let iter_t0 = self.stamp();
         let (now, t) = (self.now, self.now.as_secs());
         let machine = self.domains[m].machine();
         self.observer
@@ -679,7 +635,6 @@ impl<O: Observer> Engine<O> {
         if let Some(at) = self.domains[m].arm_sweep(now) {
             self.queue.push(at, Event::ReleaseSweep { m });
         }
-        self.record(Phase::SchedulerIteration, iter_t0);
     }
 
     /// Issue one protocol request from machine `from` to machine `to` —
@@ -693,7 +648,6 @@ impl<O: Observer> Engine<O> {
         req: &Request,
         parent: u64,
     ) -> Result<Response, ProtoError> {
-        let rpc_t0 = self.stamp();
         let t = self.now.as_secs();
         let kind = req.trace_kind();
         self.stats.rpc_calls += 1;
@@ -701,7 +655,6 @@ impl<O: Observer> Engine<O> {
         let rpc_kind = SpanKind::Rpc(kind);
         let rpc_span = (self.spans).open(&mut self.observer, t, from, parent, rpc_kind, subject);
         let result = self.deliver(to, req, rpc_span);
-        self.record(Phase::RpcCall, rpc_t0);
         if result.is_err() {
             self.stats.rpc_timeouts += 1;
             self.observer
@@ -859,28 +812,14 @@ impl<O: Observer> CoupledSimulation<O> {
         self.engine.now
     }
 
-    /// Run to completion and build the report. Reads no clock: the
-    /// wall-clock profile is only built by [`CoupledSimulation::run_traced`].
+    /// Run to completion and build the report.
     pub fn run(self) -> SimulationReport {
-        self.execute().0
+        self.run_traced().report
     }
 
     /// Run to completion, returning the report together with the observer
-    /// (to read back an attached sink) and the wall-clock profile. The
-    /// profile is filled whatever the observer, [`NoopObserver`] included.
-    pub fn run_traced(mut self) -> RunArtifacts<O> {
-        self.engine.timing = Some(Timing::default());
-        let (report, observer, timing) = self.execute();
-        let timing = timing.expect("timing was switched on above");
-        RunArtifacts {
-            report,
-            observer,
-            profile: timing.profiler.snapshot(),
-            rpc_latency_ns: timing.rpc_latency.snapshot("rpc.latency_ns"),
-        }
-    }
-
-    fn execute(self) -> (SimulationReport, O, Option<Timing>) {
+    /// (to read back an attached sink or wall-clock profiler).
+    pub fn run_traced(self) -> RunArtifacts<O> {
         let CoupledSimulation { config, mut engine } = self;
         let (aborted, queue_high_water) = engine.execute();
         let horizon = engine.now;
@@ -931,8 +870,10 @@ impl<O: Observer> CoupledSimulation<O> {
             metrics: MetricsSnapshot::default(),
         };
         report.metrics = build_metrics(&report);
-        let timing = engine.timing.take();
-        (report, engine.into_observer(), timing)
+        RunArtifacts {
+            report,
+            observer: engine.into_observer(),
+        }
     }
 }
 
@@ -986,9 +927,10 @@ fn build_metrics(report: &SimulationReport) -> MetricsSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{CoschedConfig, SchemeCombo};
+    use cosched_obs::{PhaseProfiler, SinkObserver, TeeObserver, VecSink};
     use cosched_sched::MachineConfig;
     use cosched_sim::SimRng;
     use cosched_workload::{pairing, MachineId};
@@ -1207,7 +1149,6 @@ mod tests {
 
     #[test]
     fn traced_run_is_pure_observation() {
-        use cosched_obs::{SinkObserver, VecSink};
         let plain = CoupledSimulation::new(small_config(SchemeCombo::HH), paired_traces()).run();
         let arts = CoupledSimulation::with_observer(
             small_config(SchemeCombo::HH),
@@ -1257,32 +1198,73 @@ mod tests {
         );
     }
 
-    /// `run_traced` fills the wall-clock profile whatever the observer:
-    /// the profile is what the traced entry point is asked for, so a
-    /// no-op observer must not switch it off.
+    /// A sink with a wall-clock profiler optionally teed in behind it.
+    pub(crate) type Profiled = TeeObserver<SinkObserver<VecSink>, Option<PhaseProfiler>>;
+
+    /// Run `run` with and without the profiler teed in behind a sink, and
+    /// check that the sink's records are identical (the profiler is a pure
+    /// consumer) and that the profile's call counts equal the trace's
+    /// iteration starts, release-sweep spans, and RPC outcomes. Returns
+    /// those three counts.
+    pub(crate) fn check_profile(run: impl Fn(Profiled) -> Profiled) -> [u64; 3] {
+        let observer = |on: bool| {
+            let sink = SinkObserver::new(VecSink::default());
+            TeeObserver::new(sink, on.then(PhaseProfiler::default))
+        };
+        let plain = run(observer(false)).first.into_sink().records;
+        let profiled = run(observer(true));
+        let records = &profiled.first.sink().records;
+        assert_eq!(records, &plain, "teeing the profiler in changed the trace");
+        let count = |pick: fn(&TraceEvent) -> bool| {
+            records.iter().filter(|r| pick(&r.event)).count() as u64
+        };
+        let expected = [
+            (
+                "scheduler-iteration",
+                count(|e| matches!(e, TraceEvent::SchedIterationStart { .. })),
+            ),
+            (
+                "release-sweep",
+                count(|e| {
+                    matches!(
+                        e,
+                        TraceEvent::SpanOpen {
+                            kind: SpanKind::ReleaseSweep,
+                            ..
+                        }
+                    )
+                }),
+            ),
+            (
+                "rpc-call",
+                count(|e| {
+                    matches!(
+                        e,
+                        TraceEvent::RpcCall { .. } | TraceEvent::RpcTimeout { .. }
+                    )
+                }),
+            ),
+        ];
+        let profile = profiled.second.expect("profiler teed in").snapshot();
+        for (phase, n) in expected {
+            let calls = profile.iter().find(|p| p.phase == phase);
+            assert_eq!(calls.map_or(0, |p| p.calls), n, "{phase} calls");
+        }
+        expected.map(|(_, n)| n)
+    }
+
     #[test]
-    fn traced_run_profiles_every_phase_without_an_observer() {
+    fn profiler_counts_every_phase_of_a_pair_run() {
         // The deadlock scenario adds release sweeps to the pair scenario.
         for (traces, sweeps) in [(paired_traces(), false), (deadlock_traces(), true)] {
-            let arts = CoupledSimulation::new(small_config(SchemeCombo::HH), traces).run_traced();
-            let calls = |phase: Phase| {
-                let name = phase.as_str();
-                arts.profile
-                    .iter()
-                    .find(|p| p.phase == name)
-                    .map_or(0, |p| p.calls)
-            };
-            let (stats, sched) = (&arts.report.stats, &arts.report.sched_stats);
-            assert!(sched[0].iterations + sched[1].iterations > 0);
-            assert_eq!(
-                calls(Phase::SchedulerIteration),
-                sched[0].iterations + sched[1].iterations
-            );
-            assert!(stats.rpc_calls > 0);
-            assert_eq!(calls(Phase::RpcCall), stats.rpc_calls);
-            assert_eq!(arts.rpc_latency_ns.count, stats.rpc_calls);
-            assert_eq!(calls(Phase::ReleaseSweep), stats.release_sweeps);
-            assert_eq!(stats.release_sweeps > 0, sweeps);
+            let [iterations, released, rpcs] = check_profile(|observer| {
+                let config = small_config(SchemeCombo::HH);
+                CoupledSimulation::with_observer(config, traces.clone(), observer)
+                    .run_traced()
+                    .observer
+            });
+            assert!(iterations > 0 && rpcs > 0);
+            assert_eq!(released > 0, sweeps);
         }
     }
 
@@ -1309,7 +1291,7 @@ mod tests {
     /// queue seeded with every arrival up front, machine 0's first.
     #[test]
     fn same_instant_arrivals_precede_completions_machine_zero_first() {
-        use cosched_obs::{SinkObserver, TraceRecord, VecSink};
+        use cosched_obs::TraceRecord;
         // a0 runs [0, 100); a1, b1 and a0's end all fall at t = 100.
         let a = Trace::from_jobs(
             MachineId(0),

@@ -277,11 +277,6 @@ impl NwayReport {
     pub fn all_satisfied(&self) -> bool {
         self.grades.iter().all(|g| g.satisfied)
     }
-
-    /// Number of graded relations that did not hold.
-    pub fn violations(&self) -> usize {
-        self.grades.iter().filter(|g| !g.satisfied).count()
-    }
 }
 
 /// The k-way relations as the engine consults them: the registry, and each
@@ -625,10 +620,9 @@ mod tests {
         assert!(report.all_satisfied());
     }
 
-    #[test]
-    fn circular_three_way_deadlock_is_broken_by_sweeps() {
-        // Machine i holds for group i whose other member on machine (i+1)%3
-        // cannot fit — a 3-cycle of waits.
+    /// Machine i holds for group i whose other member on machine (i+1)%3
+    /// cannot fit — a 3-cycle of waits only the release sweeps break.
+    fn circular_three_way() -> (Vec<Trace>, GroupRegistry) {
         let mut reg = GroupRegistry::new();
         for g in 0..3u64 {
             let (m0, m1) = (g as usize, (g as usize + 1) % 3);
@@ -645,6 +639,12 @@ mod tests {
                 )
             })
             .collect();
+        (traces, reg)
+    }
+
+    #[test]
+    fn circular_three_way_deadlock_is_broken_by_sweeps() {
+        let (traces, reg) = circular_three_way();
         // Without the breaker: deadlock.
         let mut cfg = config(3, Scheme::Hold);
         for c in &mut cfg.cosched {
@@ -660,6 +660,25 @@ mod tests {
         assert!(!report.deadlocked);
         assert!(report.forced_releases > 0);
         assert!(report.all_satisfied(), "grades {:?}", report.grades);
+    }
+
+    /// The k-way engine feeds the wall-clock profiler like the 2-way one:
+    /// its call counts match the trace, release sweeps included.
+    #[test]
+    fn profiler_counts_every_phase_of_a_three_way_run() {
+        let (traces, reg) = circular_three_way();
+        let [iterations, sweeps, rpcs] = crate::driver::tests::check_profile(|observer| {
+            NwaySimulation::with_observer(
+                config(3, Scheme::Hold),
+                traces.clone(),
+                reg.clone(),
+                observer,
+            )
+            .expect("valid run")
+            .run_observed()
+            .1
+        });
+        assert!(iterations > 0 && sweeps > 0 && rpcs > 0);
     }
 
     #[test]
@@ -866,11 +885,8 @@ mod tests {
         assert_eq!(wide.grades[0].offset, SimDuration::from_secs(300));
 
         let narrow = within(100);
-        assert_eq!(
-            narrow.violations(),
-            1,
-            "window too small must be graded violated"
-        );
+        let violated = narrow.grades.iter().filter(|g| !g.satisfied).count();
+        assert_eq!(violated, 1, "window too small must be graded violated");
     }
 
     #[test]
@@ -897,7 +913,7 @@ mod tests {
         let b = vec![job(1, 9, 0, 100, 2_000), job(1, 1, 5, 40, 600)];
         let report = run_pair(pair_traces(b, 3_000), after(100, 1_000), 1);
         assert!(!report.deadlocked);
-        assert_eq!(report.violations(), 1);
+        assert_eq!(report.grades.iter().filter(|g| !g.satisfied).count(), 1);
         assert_eq!(
             report.records[1]
                 .iter()

@@ -9,15 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation (n−1 denominator); 0 for fewer than 2 points.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// `q`-th quantile (0 ≤ q ≤ 1) with linear interpolation between order
 /// statistics; 0 for an empty slice.
 ///
@@ -95,15 +86,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[4.0]), 4.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn stddev_known_value() {
-        // Sample stddev of {2,4,4,4,5,5,7,9} with n−1 is sqrt(32/7).
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((stddev(&xs) - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        assert_eq!(stddev(&[]), 0.0);
     }
 
     #[test]

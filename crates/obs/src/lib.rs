@@ -16,10 +16,11 @@
 //!   log₂-bucketed histograms with snapshot types that serialize into
 //!   reports. Deterministic inputs only (sim time, counts): identical
 //!   seeds produce identical snapshots.
-//! * **Phase profiling** ([`profile`]) — wall-clock timings around
-//!   scheduler iterations, release sweeps, and RPCs. Wall-clock data is
-//!   *never* mixed into traces or report metrics; it lives in its own
-//!   snapshot so determinism guarantees hold.
+//! * **Phase profiling** ([`profile`]) — an observer that times scheduler
+//!   iterations, release sweeps, and RPCs by the wall clock from the events
+//!   that bound them. Wall-clock data is *never* mixed into traces or
+//!   report metrics; it lives in its own snapshot so determinism
+//!   guarantees hold.
 //! * **The job state machine** ([`lifecycle`]) — [`LifecycleSet::apply`]
 //!   folds one record at a time into per-job timelines (submit → queued ⇄
 //!   held → running → finished) and rejects records that contradict it.
@@ -45,7 +46,7 @@ pub use lifecycle::{JobLifecycle, LifecycleError, LifecycleSet, Rendezvous};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{MachineTelemetry, StreamingMonitor, TelemetrySnapshot};
 pub use observe::{JsonlSink, NoopObserver, Observer, Sink, SinkObserver, TeeObserver, VecSink};
-pub use profile::{Phase, PhaseProfiler, PhaseSnapshot};
+pub use profile::{PhaseProfiler, PhaseSnapshot};
 pub use reader::{
     read_trace_file, read_trace_str, write_trace_string, TraceReadError, TraceReader,
 };

@@ -1,36 +1,34 @@
 //! Wall-clock phase profiling.
 //!
 //! Measures where real time goes (scheduler iterations, release sweeps,
-//! RPC round-trips) so Criterion regressions can be attributed to a phase.
-//! Wall-clock data is inherently nondeterministic, so it is kept strictly
-//! out of traces and report metrics: a [`PhaseProfiler`] lives beside the
-//! simulation and is reported separately.
+//! RPC round-trips). [`PhaseProfiler`] is an [`Observer`]: it reads the
+//! wall clock at the events that bound each phase, so the simulator itself
+//! reads no clock and a run without the profiler pays nothing. As an active
+//! observer it switches event construction on, so each phase includes the
+//! building of the events it emits. Wall-clock data is inherently
+//! nondeterministic, so it is kept strictly out of traces and report
+//! metrics: the profile is read from the observer after the run.
 
+use crate::observe::Observer;
+use crate::trace::{SpanKind, TraceEvent};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::time::Instant;
 
-/// The profiled phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Phase {
+/// The profiled phases, in snapshot order.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
     /// One scheduler iteration (pick/start loop) on one machine.
     SchedulerIteration,
-    /// One periodic release sweep.
+    /// One release sweep that force-released holds.
     ReleaseSweep,
-    /// One cross-domain RPC round-trip.
+    /// One cross-domain RPC round-trip, caller side.
     RpcCall,
 }
 
-impl Phase {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::SchedulerIteration => "scheduler-iteration",
-            Phase::ReleaseSweep => "release-sweep",
-            Phase::RpcCall => "rpc-call",
-        }
-    }
-}
+/// Snapshot names, indexed by [`Phase`].
+const PHASE_NAMES: [&str; 3] = ["scheduler-iteration", "release-sweep", "rpc-call"];
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PhaseStats {
     calls: u64,
     total_ns: u64,
@@ -38,44 +36,90 @@ struct PhaseStats {
     max_ns: u64,
 }
 
-/// Accumulates wall-clock samples per phase.
+/// Accumulates wall-clock samples per phase from the event stream: a
+/// scheduler iteration runs from `SchedIterationStart` to
+/// `SchedIterationEnd`, an RPC and a release sweep from their span's open
+/// to its close. A pure consumer: it only reads the events it is handed.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
-    phases: BTreeMap<Phase, PhaseStats>,
+    phases: [PhaseStats; 3],
+    iteration: Option<Instant>,
+    /// The open RPC span and when it opened.
+    rpc: Option<(u64, Instant)>,
+    /// The open release-sweep span and when it opened.
+    sweep: Option<(u64, Instant)>,
 }
 
 impl PhaseProfiler {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an externally measured sample (nanoseconds).
-    pub fn record(&mut self, phase: Phase, nanos: u64) {
-        let stats = self.phases.entry(phase).or_insert(PhaseStats {
-            calls: 0,
-            total_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        });
+    /// Record one sample (nanoseconds).
+    fn record(&mut self, phase: Phase, nanos: u64) {
+        let stats = &mut self.phases[phase as usize];
+        stats.min_ns = if stats.calls == 0 {
+            nanos
+        } else {
+            stats.min_ns.min(nanos)
+        };
         stats.calls += 1;
         stats.total_ns = stats.total_ns.saturating_add(nanos);
-        stats.min_ns = stats.min_ns.min(nanos);
         stats.max_ns = stats.max_ns.max(nanos);
+    }
+
+    /// Charge the time since `start` to `phase`.
+    fn close(&mut self, phase: Phase, start: Instant) {
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.record(phase, nanos);
     }
 
     /// Serializable summary, one entry per phase seen.
     pub fn snapshot(&self) -> Vec<PhaseSnapshot> {
-        self.phases
-            .iter()
+        (PHASE_NAMES.iter().zip(&self.phases))
+            .filter(|(_, stats)| stats.calls > 0)
             .map(|(&phase, stats)| PhaseSnapshot {
-                phase: phase.as_str().to_string(),
+                phase: phase.to_string(),
                 calls: stats.calls,
                 total_ns: stats.total_ns,
-                mean_ns: stats.total_ns.checked_div(stats.calls).unwrap_or(0),
-                min_ns: if stats.calls == 0 { 0 } else { stats.min_ns },
+                mean_ns: stats.total_ns / stats.calls,
+                min_ns: stats.min_ns,
                 max_ns: stats.max_ns,
             })
             .collect()
+    }
+}
+
+impl Observer for PhaseProfiler {
+    fn active(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, _time: u64, _machine: usize, event: TraceEvent) {
+        match event {
+            TraceEvent::SchedIterationStart { .. } => self.iteration = Some(Instant::now()),
+            TraceEvent::SchedIterationEnd { .. } => {
+                if let Some(start) = self.iteration.take() {
+                    self.close(Phase::SchedulerIteration, start);
+                }
+            }
+            TraceEvent::SpanOpen {
+                span,
+                kind: SpanKind::Rpc(_),
+                ..
+            } => self.rpc = Some((span, Instant::now())),
+            TraceEvent::SpanOpen {
+                span,
+                kind: SpanKind::ReleaseSweep,
+                ..
+            } => self.sweep = Some((span, Instant::now())),
+            TraceEvent::SpanClose { span } => {
+                if let Some((_, start)) = self.rpc.filter(|&(id, _)| id == span) {
+                    self.rpc = None;
+                    self.close(Phase::RpcCall, start);
+                } else if let Some((_, start)) = self.sweep.filter(|&(id, _)| id == span) {
+                    self.sweep = None;
+                    self.close(Phase::ReleaseSweep, start);
+                }
+            }
+            _ => {}
+        }
     }
 }
 
@@ -94,10 +138,12 @@ pub struct PhaseSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::RpcKind;
+    use crate::NO_SPAN;
 
     #[test]
     fn records_and_snapshots() {
-        let mut p = PhaseProfiler::new();
+        let mut p = PhaseProfiler::default();
         p.record(Phase::SchedulerIteration, 40);
         p.record(Phase::SchedulerIteration, 100);
         p.record(Phase::ReleaseSweep, 7);
@@ -124,5 +170,47 @@ mod tests {
             snap.iter().all(|s| s.phase != "rpc-call"),
             "unseen phase listed"
         );
+    }
+
+    /// Spans are matched by id: a handler span closing inside an RPC does
+    /// not end it, nor does a hold span inside a sweep, and a close with no
+    /// open is not a sample.
+    #[test]
+    fn phases_are_bounded_by_their_own_events() {
+        let open = |span, kind| TraceEvent::SpanOpen {
+            span,
+            parent: NO_SPAN,
+            kind,
+            job: 0,
+            mate: 0,
+        };
+        let close = |span| TraceEvent::SpanClose { span };
+        let start = TraceEvent::SchedIterationStart {
+            queued: 1,
+            running: 0,
+            free_nodes: 8,
+        };
+        let end = TraceEvent::SchedIterationEnd { started: 0 };
+        let mut p = PhaseProfiler::default();
+        let mut feed = |events: Vec<TraceEvent>| {
+            for event in events {
+                Observer::record(&mut p, 0, 0, event);
+            }
+            p.snapshot().iter().map(|s| s.calls).collect::<Vec<_>>()
+        };
+        let rpc = SpanKind::Rpc(RpcKind::Ping);
+        let handler = SpanKind::RpcHandler(RpcKind::Ping);
+        assert_eq!(
+            feed(vec![start, open(1, rpc), open(2, handler), close(2)]),
+            []
+        );
+        assert_eq!(feed(vec![close(1), end.clone()]), [1, 1]);
+        let sweep = vec![
+            open(3, SpanKind::ReleaseSweep),
+            open(4, SpanKind::Hold),
+            close(4),
+        ];
+        assert_eq!(feed(sweep), [1, 1]);
+        assert_eq!(feed(vec![close(3), close(3), end]), [1, 1, 1]);
     }
 }

@@ -37,16 +37,6 @@ impl CapacityProfile {
         self.capacity
     }
 
-    /// Committed usage at instant `t`.
-    pub fn usage_at(&self, t: SimTime) -> u64 {
-        let mut usage = 0i64;
-        for (_, d) in self.deltas.range(..=t) {
-            usage += d;
-        }
-        debug_assert!(usage >= 0);
-        usage as u64
-    }
-
     /// Peak committed usage over `[start, start + duration)`.
     pub fn max_usage_in(&self, start: SimTime, duration: SimDuration) -> u64 {
         let end = start + duration;
@@ -192,10 +182,16 @@ mod tests {
     fn usage_tracks_reservations() {
         let mut p = CapacityProfile::new(100);
         p.reserve(t(10), d(20), 60);
-        assert_eq!(p.usage_at(t(0)), 0);
-        assert_eq!(p.usage_at(t(10)), 60);
-        assert_eq!(p.usage_at(t(29)), 60);
-        assert_eq!(p.usage_at(t(30)), 0, "end is exclusive");
+        assert_eq!(
+            p.max_usage_in(t(0), d(10)),
+            0,
+            "a window ending at the start"
+        );
+        assert_eq!(p.max_usage_in(t(10), d(1)), 60);
+        assert_eq!(p.max_usage_in(t(29), d(1)), 60);
+        assert_eq!(p.max_usage_in(t(30), d(1)), 0, "end is exclusive");
+        assert!(p.fits(t(30), d(10), 100));
+        assert!(!p.fits(t(29), d(1), 41));
     }
 
     #[test]
@@ -281,7 +277,7 @@ mod tests {
     fn empty_profile_fits_everything_reasonable() {
         let p = CapacityProfile::new(64);
         assert_eq!(p.earliest_fit(t(500), d(1_000), 64), Some(t(500)));
-        assert_eq!(p.usage_at(t(0)), 0);
+        assert_eq!(p.max_usage_in(t(0), d(1)), 0);
         assert_eq!(p.committed_node_seconds(), 0);
     }
 }
