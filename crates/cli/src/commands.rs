@@ -452,7 +452,7 @@ struct BenchSimFile {
 /// Run the parallel campaign benchmark: every requested sweep at 1 thread
 /// (the reference) and each additional worker count, verifying the
 /// parallel runs are outcome-identical to serial and recording wall-clock,
-/// throughput, and one representative cell's phase profile.
+/// throughput, and the phase profile of each sweep's first hold-hold cell.
 fn cmd_bench_campaign(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     p.allow_only(&[
         "scale",

@@ -23,8 +23,7 @@ use cosched_proto::{DomainService, Request, Response, SpanContext, Transport};
 use cosched_sched::Machine;
 use cosched_sim::SimTime;
 use cosched_workload::{Job, JobId, MachineId};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 struct Inner {
     domain: Domain,
@@ -68,6 +67,12 @@ impl LiveDomain {
         }
     }
 
+    /// Lock the shared state. Poisoning is ignored: a panic on a thread
+    /// that held the lock does not turn every later call into a panic.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Attach a streaming monitor: the domain reports submits, Algorithm 1
     /// transitions (start/hold/yield, scheme shifts, rendezvous commits,
     /// forced releases), its protocol calls and their timeouts, and
@@ -75,7 +80,7 @@ impl LiveDomain {
     /// index. Serve the same monitor via `cosched_telemetry` to expose the
     /// daemon's `/metrics`, `/healthz`, and `/state`.
     pub fn attach_telemetry(&self, monitor: StreamingMonitor) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let config = g.domain.machine().config();
         monitor.set_capacity(config.machine.0, config.capacity);
         g.monitor = Some(monitor);
@@ -85,14 +90,14 @@ impl LiveDomain {
     /// addressed to another machine, one whose submit time is later than
     /// `now`, and a duplicate id.
     pub fn submit(&self, job: Job, now: SimTime) -> Result<(), SubmitError> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let g = &mut *g;
         g.domain.submit(job, now, &mut g.monitor)
     }
 
     /// Answer one incoming protocol request at local time `now`.
     pub fn handle(&self, req: Request, now: SimTime) -> Response {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let g = &mut *g;
         let (response, started) = g.domain.handle(&req, now, &mut g.monitor);
         g.ends.extend(started);
@@ -116,7 +121,7 @@ impl LiveDomain {
     /// Caller span ids observed on incoming requests so far, in arrival
     /// order (non-empty contexts only).
     pub fn peer_spans(&self) -> Vec<u64> {
-        self.inner.lock().peer_spans.clone()
+        self.lock().peer_spans.clone()
     }
 
     /// Run one local scheduling iteration at `now`, coordinating over
@@ -131,7 +136,7 @@ impl LiveDomain {
     /// missed or double start. Call `pump` from one thread per domain.
     pub fn pump<T: Transport>(&self, now: SimTime, remote: &mut T) {
         {
-            let mut g = self.inner.lock();
+            let mut g = self.lock();
             let g = &mut *g;
             if g.domain.sweep(now) == Sweep::Release {
                 g.domain.release_holds(now, &mut g.monitor, |_, _| {});
@@ -145,7 +150,7 @@ impl LiveDomain {
             // Phase 1: pick a candidate and snapshot its context under the
             // lock.
             let (ready, watched) = {
-                let mut g = self.inner.lock();
+                let mut g = self.lock();
                 let Some(ready) = g.domain.pick(now) else {
                     break;
                 };
@@ -161,7 +166,7 @@ impl LiveDomain {
             });
             // Phase 3: record the calls as the simulator does, under the
             // peer's machine index, then commit under the lock.
-            let mut g = self.inner.lock();
+            let mut g = self.lock();
             let g = &mut *g;
             let peer = g.domain.peer().0;
             for (kind, ok) in calls.drain(..) {
@@ -180,13 +185,13 @@ impl LiveDomain {
                 g.ends.push((id, end));
             }
         }
-        self.inner.lock().domain.arm_sweep(now);
+        self.lock().domain.arm_sweep(now);
     }
 
     /// Complete all started jobs whose end time has passed. Returns how many
     /// finished.
     pub fn complete_due(&self, now: SimTime) -> usize {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let g = &mut *g;
         let mut due: Vec<_> = g.ends.extract_if(.., |&mut (_, end)| end <= now).collect();
         due.sort_by_key(|&(_, end)| end);
@@ -199,17 +204,17 @@ impl LiveDomain {
 
     /// Completed-job records so far.
     pub fn records(&self) -> Vec<JobRecord> {
-        self.inner.lock().domain.machine().records().to_vec()
+        self.lock().domain.machine().records().to_vec()
     }
 
     /// True when no queued, held, or running jobs remain.
     pub fn drained(&self) -> bool {
-        self.inner.lock().domain.machine().drained()
+        self.lock().domain.machine().drained()
     }
 
     /// Jobs currently held (for observability).
     pub fn held(&self) -> Vec<JobId> {
-        self.inner.lock().domain.machine().held_jobs().to_vec()
+        self.lock().domain.machine().held_jobs().to_vec()
     }
 }
 
@@ -230,7 +235,7 @@ where
 
     fn handle_traced(&mut self, req: Request, ctx: SpanContext) -> Response {
         if !ctx.is_none() {
-            self.domain.inner.lock().peer_spans.push(ctx.span);
+            self.domain.lock().peer_spans.push(ctx.span);
         }
         self.handle(req)
     }
@@ -442,7 +447,7 @@ mod tests {
         b.submit(job(1, 9, 10, 100_000), SimTime::ZERO).unwrap();
         b.pump(SimTime::ZERO, &mut direct(&a));
         b.submit(job(1, 1, 4, 60), SimTime::ZERO).unwrap();
-        let hold_since = |a: &LiveDomain| a.inner.lock().domain.machine().hold_since(JobId(1));
+        let hold_since = |a: &LiveDomain| a.lock().domain.machine().hold_since(JobId(1));
         a.submit(job(0, 1, 4, 60), SimTime::ZERO).unwrap();
         a.pump(SimTime::ZERO, &mut direct(&b));
         assert_eq!(a.held(), vec![JobId(1)]);

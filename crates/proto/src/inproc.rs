@@ -1,4 +1,4 @@
-//! In-process transport over crossbeam channels.
+//! In-process transport over `std::sync::mpsc` channels.
 //!
 //! Useful for tests and for deployments where both resource managers run in
 //! one supervisor process. The channel pair gives the same call/serve split
@@ -7,12 +7,12 @@
 use crate::message::{Request, Response};
 use crate::span::{SpanContext, TracedRequest};
 use crate::transport::{DomainService, ProtoError, Transport};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
 /// Client half of an in-process link.
 pub struct InprocClient {
-    tx: Sender<TracedRequest>,
+    tx: SyncSender<TracedRequest>,
     rx: Receiver<Response>,
     timeout: Duration,
 }
@@ -20,13 +20,13 @@ pub struct InprocClient {
 /// Server half of an in-process link.
 pub struct InprocServer {
     rx: Receiver<TracedRequest>,
-    tx: Sender<Response>,
+    tx: SyncSender<Response>,
 }
 
 /// Create a connected client/server pair. `timeout` bounds each client call.
 pub fn pair(timeout: Duration) -> (InprocClient, InprocServer) {
-    let (req_tx, req_rx) = bounded(16);
-    let (resp_tx, resp_rx) = bounded(16);
+    let (req_tx, req_rx) = sync_channel(16);
+    let (resp_tx, resp_rx) = sync_channel(16);
     (
         InprocClient {
             tx: req_tx,

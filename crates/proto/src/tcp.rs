@@ -12,11 +12,10 @@ use crate::frame::{encode, FrameDecoder};
 use crate::message::{Request, Response};
 use crate::span::{SpanContext, TracedRequest};
 use crate::transport::{DomainService, ProtoError, Transport};
-use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Client side of the protocol over TCP.
@@ -171,7 +170,10 @@ fn handle_connection<S: DomainService>(
         }
         match decoder.next::<TracedRequest>() {
             Ok(Some(env)) => {
-                let resp = service.lock().handle_traced(env.req, env.ctx);
+                let resp = service
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .handle_traced(env.req, env.ctx);
                 if stream.write_all(&encode(&resp)).is_err() {
                     return;
                 }

@@ -144,19 +144,15 @@ fn rng_forks_are_stream_independent() {
     // lets the harness add consumers without perturbing existing draws.
     let root = SimRng::seed_from_u64(99);
     let mut probe1 = root.fork(5);
-    let first: Vec<u64> = (0..8)
-        .map(|_| rand::RngCore::next_u64(&mut probe1))
-        .collect();
+    let first: Vec<u64> = (0..8).map(|_| probe1.next_u64()).collect();
     // Interleave heavy use of other forks.
     for s in 0..64 {
         let mut other = root.fork(s + 100);
         for _ in 0..100 {
-            rand::RngCore::next_u64(&mut other);
+            other.next_u64();
         }
     }
     let mut probe2 = root.fork(5);
-    let second: Vec<u64> = (0..8)
-        .map(|_| rand::RngCore::next_u64(&mut probe2))
-        .collect();
+    let second: Vec<u64> = (0..8).map(|_| probe2.next_u64()).collect();
     assert_eq!(first, second);
 }
