@@ -6,8 +6,9 @@
 //! into the tables that `cosched figures` prints. The scenario builders
 //! live in [`harness`]. The `validation`, `ablate`, `cohorts` and
 //! `compare_reservation` binaries in `src/bin/` cover §V-B and the
-//! design studies; Criterion benches (in `benches/`) measure the
-//! simulator's own performance and the cost of design alternatives.
+//! design studies. The simulator's own speed is measured by `cosched
+//! bench campaign` (see [`bench_campaign`]) and, layer by layer, by the
+//! separate `perfbench` crate at the repository root.
 //!
 //! Scale control: the full paper-scale runs (one month, 10 seeds per case)
 //! take minutes; pass `--scale full` to `cosched figures`, or set

@@ -21,7 +21,7 @@ use std::hint::black_box;
 
 use cosched_metrics::JobRecord;
 use cosched_sched::alloc::{BuddyAllocator, FlatAllocator};
-use cosched_sched::backfill::{compute_shadow, compute_shadow_sorted, ProjectedRelease};
+use cosched_sched::backfill::{compute_shadow_sorted, ProjectedRelease};
 use cosched_sched::policy::{sort_keys, OrderKey};
 use cosched_sched::{Machine, MachineConfig, NodeAllocator, PolicyKind};
 use cosched_sim::{EventQueue, SimDuration, SimTime};
@@ -133,26 +133,16 @@ fn compute_shadow_sorted_is_allocation_free() {
     let n = count_allocs(|| {
         for _ in 0..16 {
             black_box(compute_shadow_sorted(head, 0, releases.iter().copied()).time);
-        }
-    });
-    assert_eq!(n, 0, "sorted shadow walk must not allocate");
-}
-
-#[test]
-fn compute_shadow_fast_paths_are_allocation_free() {
-    let releases = [ProjectedRelease {
-        end: SimTime::from_secs(500),
-        nodes: 1_024,
-    }];
-    let n = count_allocs(|| {
-        for _ in 0..16 {
-            // Head fits now: early return before any sorting.
-            black_box(compute_shadow(512, 2_048, &releases).spare);
+            // Head fits now: early return before the walk.
+            black_box(compute_shadow_sorted(512, 2_048, releases.iter().copied()).spare);
             // No projected releases: head is blocked indefinitely.
-            black_box(compute_shadow(512, 0, &[]).time);
+            black_box(compute_shadow_sorted(512, 0, std::iter::empty()).time);
         }
     });
-    assert_eq!(n, 0, "compute_shadow fast paths must not allocate");
+    assert_eq!(
+        n, 0,
+        "sorted shadow walk and its fast paths must not allocate"
+    );
 }
 
 #[test]

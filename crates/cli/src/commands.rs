@@ -690,6 +690,24 @@ pub fn apply_pairs(a: &mut Trace, b: &mut Trace, pairs: &PairsFile) -> Result<()
     pairing::validate_pairing(a, b).map_err(|e| format!("invalid pairs file: {e}"))
 }
 
+/// A job larger than its machine can never start, and the run would end
+/// with it queued, reported as a deadlock. Refuse such a trace up front,
+/// naming its largest job.
+fn check_fits(trace: &Trace, path: &str, option: &str, capacity: u64) -> Result<(), String> {
+    match trace
+        .jobs()
+        .iter()
+        .filter(|j| j.size > capacity)
+        .max_by_key(|j| j.size)
+    {
+        Some(j) => Err(format!(
+            "{path}: job {} needs {} nodes, more than --{option} {capacity}",
+            j.id.0, j.size
+        )),
+        None => Ok(()),
+    }
+}
+
 /// JSON report shape for `simulate --json`.
 #[derive(Debug, Serialize)]
 struct JsonReport {
@@ -722,8 +740,9 @@ fn cmd_simulate(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
         "alerts",
         "telemetry-linger-secs",
     ])?;
-    let mut a = load_trace(p.require("a")?, MachineId(0))?;
-    let mut b = load_trace(p.require("b")?, MachineId(1))?;
+    let (path_a, path_b) = (p.require("a")?, p.require("b")?);
+    let mut a = load_trace(path_a, MachineId(0))?;
+    let mut b = load_trace(path_b, MachineId(1))?;
     if let Some(path) = p.get("pairs") {
         let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let pairs: PairsFile =
@@ -741,6 +760,8 @@ fn cmd_simulate(p: &Parsed, out: &mut dyn Write) -> Result<(), String> {
     };
     let cap_a: u64 = p.get_or("capacity-a", a.max_size().max(1))?;
     let cap_b: u64 = p.get_or("capacity-b", b.max_size().max(1))?;
+    check_fits(&a, path_a, "capacity-a", cap_a)?;
+    check_fits(&b, path_b, "capacity-b", cap_b)?;
     let release: u64 = p.get_or("release-mins", 20)?;
 
     let mk_cosched = |scheme| {
@@ -1277,6 +1298,35 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("bad --combo"), "{err}");
+    }
+
+    /// A job larger than its machine can never start, so an undersized
+    /// capacity is a usage error, not a run that ends looking deadlocked.
+    #[test]
+    fn simulate_rejects_capacity_below_largest_job() {
+        let a = tmp("undersized_a.swf");
+        let b = tmp("undersized_b.swf");
+        run(&format!(
+            "generate --machine eureka --out {a} --days 1 --seed 12"
+        ))
+        .unwrap();
+        run(&format!(
+            "generate --machine eureka --out {b} --days 1 --seed 13"
+        ))
+        .unwrap();
+        let err = run(&format!(
+            "simulate --a {a} --b {b} --combo HY --capacity-a 4 --capacity-b 100"
+        ))
+        .unwrap_err();
+        assert!(err.contains(&a), "{err}");
+        assert!(err.contains("--capacity-a 4"), "{err}");
+        assert!(err.contains("job "), "{err}");
+        let err = run(&format!(
+            "simulate --a {a} --b {b} --combo HY --capacity-a 100 --capacity-b 4"
+        ))
+        .unwrap_err();
+        assert!(err.contains(&b), "{err}");
+        assert!(err.contains("--capacity-b 4"), "{err}");
     }
 
     #[test]

@@ -39,41 +39,16 @@ pub struct Shadow {
 ///
 /// * `head_size` — nodes the head job needs;
 /// * `free_now` — nodes currently free;
-/// * `releases` — projected completions of running jobs (any order).
+/// * `releases` — projected completions of running jobs, sorted by
+///   `(end, nodes)` ascending.
 ///
 /// The projection assumes (as EASY does) that no new work arrives and each
 /// running job ends exactly at its walltime. Conservative with respect to
 /// partition fragmentation: a fit is declared when the *count* suffices,
 /// which is how Qsim models it too; the allocator re-checks at start time.
 ///
-/// Sorts a copy of `releases` per call; the scheduler's steady-state path
-/// keeps its release list incrementally sorted and calls
-/// [`compute_shadow_sorted`] instead, which allocates nothing.
-#[inline]
-pub fn compute_shadow(head_size: u64, free_now: u64, releases: &[ProjectedRelease]) -> Shadow {
-    // Fast paths that skip building the sorted copy entirely: the head fits
-    // now (immediate reservation), or nothing will ever be released (held
-    // nodes block the head indefinitely; backfill is unconstrained).
-    if head_size <= free_now {
-        return Shadow {
-            time: SimTime::ZERO,
-            spare: free_now - head_size,
-        };
-    }
-    if releases.is_empty() {
-        return Shadow {
-            time: SimTime::MAX,
-            spare: u64::MAX,
-        };
-    }
-    let mut sorted: Vec<ProjectedRelease> = releases.to_vec();
-    sorted.sort_by_key(|r| (r.end, r.nodes));
-    compute_shadow_sorted(head_size, free_now, sorted.iter().copied())
-}
-
-/// [`compute_shadow`] over releases already sorted by `(end, nodes)`
-/// ascending. Allocation-free: the caller supplies the sorted sequence
-/// (typically an incrementally maintained list) and this walks it once.
+/// Allocation-free: the caller supplies the sorted sequence (the scheduler
+/// keeps its release list incrementally sorted) and this walks it once.
 #[inline]
 pub fn compute_shadow_sorted(
     head_size: u64,
@@ -124,17 +99,24 @@ mod tests {
         ProjectedRelease { end: t(end), nodes }
     }
 
+    /// The shadow of `releases`, which must already be sorted by
+    /// `(end, nodes)` as the scheduler keeps them.
+    fn shadow(head: u64, free: u64, releases: &[ProjectedRelease]) -> Shadow {
+        assert!(releases.is_sorted_by_key(|r| (r.end, r.nodes)));
+        compute_shadow_sorted(head, free, releases.iter().copied())
+    }
+
     #[test]
     fn shadow_at_first_sufficient_release() {
         // free 10, head needs 50; releases of 20@t100, 30@t200, 40@t300.
-        let s = compute_shadow(50, 10, &[rel(300, 40), rel(100, 20), rel(200, 30)]);
+        let s = shadow(50, 10, &[rel(100, 20), rel(200, 30), rel(300, 40)]);
         assert_eq!(s.time, t(200)); // 10+20+30 = 60 ≥ 50
         assert_eq!(s.spare, 10);
     }
 
     #[test]
     fn shadow_unreachable_under_holds() {
-        let s = compute_shadow(100, 10, &[rel(50, 20)]);
+        let s = shadow(100, 10, &[rel(50, 20)]);
         assert_eq!(s.time, SimTime::MAX);
         assert_eq!(s.spare, u64::MAX);
         // Unconstrained backfill.
@@ -142,15 +124,22 @@ mod tests {
     }
 
     #[test]
+    fn no_releases_leave_the_shadow_unreachable() {
+        let s = shadow(10, 0, &[]);
+        assert_eq!(s.time, SimTime::MAX);
+        assert_eq!(s.spare, u64::MAX);
+    }
+
+    #[test]
     fn head_already_fitting_is_immediate() {
-        let s = compute_shadow(5, 10, &[rel(100, 20)]);
+        let s = shadow(5, 10, &[rel(100, 20)]);
         assert_eq!(s.time, SimTime::ZERO);
         assert_eq!(s.spare, 5);
     }
 
     #[test]
     fn admits_by_finishing_before_shadow() {
-        let s = compute_shadow(50, 10, &[rel(100, 60)]);
+        let s = shadow(50, 10, &[rel(100, 60)]);
         assert_eq!(s.time, t(100));
         assert_eq!(s.spare, 20);
         assert!(s.admits(45, t(100))); // ends exactly at shadow: ok
@@ -161,38 +150,8 @@ mod tests {
 
     #[test]
     fn simultaneous_releases_accumulate() {
-        let s = compute_shadow(50, 0, &[rel(100, 25), rel(100, 25)]);
+        let s = shadow(50, 0, &[rel(100, 25), rel(100, 25)]);
         assert_eq!(s.time, t(100));
         assert_eq!(s.spare, 0);
-    }
-
-    #[test]
-    fn sorted_variant_agrees_with_sorting_variant() {
-        let releases = [rel(300, 40), rel(100, 20), rel(200, 30), rel(100, 5)];
-        let mut sorted = releases.to_vec();
-        sorted.sort_by_key(|r| (r.end, r.nodes));
-        for head in [1u64, 30, 50, 80, 200] {
-            for free in [0u64, 10, 60] {
-                assert_eq!(
-                    compute_shadow(head, free, &releases),
-                    compute_shadow_sorted(head, free, sorted.iter().copied()),
-                    "head {head} free {free}"
-                );
-            }
-        }
-        // Empty-release fast path: unreachable shadow without allocation.
-        let s = compute_shadow(10, 0, &[]);
-        assert_eq!(s.time, SimTime::MAX);
-        assert_eq!(s.spare, u64::MAX);
-        assert_eq!(s, compute_shadow_sorted(10, 0, std::iter::empty()));
-    }
-
-    #[test]
-    fn release_order_does_not_matter() {
-        let a = compute_shadow(40, 0, &[rel(10, 10), rel(20, 10), rel(30, 30)]);
-        let b = compute_shadow(40, 0, &[rel(30, 30), rel(10, 10), rel(20, 10)]);
-        assert_eq!(a, b);
-        assert_eq!(a.time, t(30));
-        assert_eq!(a.spare, 10);
     }
 }
